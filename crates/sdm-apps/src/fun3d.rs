@@ -55,13 +55,19 @@ pub const RESULT_DATASETS: [&str; 4] = ["p", "q", "r", "s"];
 /// The large fifth dataset (5× the node count).
 pub const BIG_DATASET: &str = "res";
 
-fn local_index_of(sorted: &[u32], node: u32) -> usize {
-    sorted.binary_search(&node).expect("node must be local")
-}
+/// Marks a table entry with no local slot (global→slot) or no owned
+/// position (slot→owned, i.e. a ghost).
+const ABSENT: u32 = u32::MAX;
 
 /// The edge-sweep kernel: for every owned node, accumulate flux
 /// contributions from all incident edges (ghost edges are local by
 /// construction, so owned-node sums are complete without communication).
+///
+/// `all_nodes` (sorted) names the global node of each entry of `y`. The
+/// global→local translation happens once, into a dense global→slot
+/// table plus a slot→owned-position table; the edge loop then only
+/// indexes. Panics with "node must be local" if an edge endpoint is not
+/// in `all_nodes`.
 pub fn edge_sweep(
     pi: &PartitionedIndex,
     all_nodes: &[u32],
@@ -69,18 +75,34 @@ pub fn edge_sweep(
     y: &[f64],
     step: usize,
 ) -> Vec<f64> {
+    let table_len = all_nodes.last().map_or(0, |&n| n as usize + 1);
+    let mut slot_of = vec![ABSENT; table_len];
+    let mut owned_at = vec![ABSENT; all_nodes.len()];
+    let mut owned = pi.owned_nodes.iter().enumerate().peekable();
+    for (s, &n) in all_nodes.iter().enumerate() {
+        slot_of[n as usize] = s as u32;
+        while owned.next_if(|&(_, &o)| o < n).is_some() {}
+        if let Some((i, _)) = owned.next_if(|&(_, &o)| o == n) {
+            owned_at[s] = i as u32;
+        }
+    }
+    let slot = |node: u32| -> usize {
+        match slot_of.get(node as usize) {
+            Some(&s) if s != ABSENT => s as usize,
+            _ => panic!("node must be local: {node} is not in this rank's node list"),
+        }
+    };
+
     let mut out = vec![0.0f64; pi.owned_nodes.len()];
     let scale = (step + 1) as f64;
     for (k, &(a, b)) in pi.edge_nodes.iter().enumerate() {
-        let xa = x[k] * scale;
-        let ya = y[local_index_of(all_nodes, a)];
-        let yb = y[local_index_of(all_nodes, b)];
-        let flux = xa * (ya + yb);
-        if let Ok(i) = pi.owned_nodes.binary_search(&a) {
-            out[i] += flux;
+        let (sa, sb) = (slot(a), slot(b));
+        let flux = x[k] * scale * (y[sa] + y[sb]);
+        if owned_at[sa] != ABSENT {
+            out[owned_at[sa] as usize] += flux;
         }
-        if let Ok(i) = pi.owned_nodes.binary_search(&b) {
-            out[i] -= flux;
+        if owned_at[sb] != ABSENT {
+            out[owned_at[sb] as usize] -= flux;
         }
     }
     out
@@ -367,6 +389,97 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The binary-search kernel `edge_sweep` replaced: four searches per
+    /// edge over the sorted node lists. Kept as the oracle.
+    fn edge_sweep_binary_search(
+        pi: &PartitionedIndex,
+        all_nodes: &[u32],
+        x: &[f64],
+        y: &[f64],
+        step: usize,
+    ) -> Vec<f64> {
+        let local = |n: u32| all_nodes.binary_search(&n).expect("node must be local");
+        let mut out = vec![0.0f64; pi.owned_nodes.len()];
+        let scale = (step + 1) as f64;
+        for (k, &(a, b)) in pi.edge_nodes.iter().enumerate() {
+            let xa = x[k] * scale;
+            let flux = xa * (y[local(a)] + y[local(b)]);
+            if let Ok(i) = pi.owned_nodes.binary_search(&a) {
+                out[i] += flux;
+            }
+            if let Ok(i) = pi.owned_nodes.binary_search(&b) {
+                out[i] -= flux;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn localized_sweep_is_bitwise_the_binary_search_sweep() {
+        let w = Fun3dWorkload::new(120, 2, 9);
+        let (e1, e2) = w.mesh.indirection_arrays();
+        for n in [2u32, 3, 5] {
+            // Scattered ownership (a multiplicative hash of the node id)
+            // cuts nearly every edge: most endpoints are ghosts.
+            let pv: Vec<u32> = (0..w.mesh.num_nodes() as u32)
+                .map(|g| g.wrapping_mul(2_654_435_761) % n)
+                .collect();
+            for rank in 0..n {
+                let pi = Sdm::partition_index_reference(&pv, &e1, &e2, rank);
+                assert!(
+                    pi.ghost_nodes.len() > pi.owned_nodes.len() / 2,
+                    "{n} ranks, rank {rank}: partition is not ghost-heavy"
+                );
+                let all = pi.all_nodes();
+                // Inexact values, so that any change in rounding or in
+                // the order of the sums shows in the bits.
+                let x: Vec<f64> = pi
+                    .edge_ids
+                    .iter()
+                    .map(|&e| (e as f64 + 0.5).sqrt())
+                    .collect();
+                let y: Vec<f64> = all.iter().map(|&g| 1.0 / (g as f64 + 1.5)).collect();
+                for step in [0, 2] {
+                    let got = edge_sweep(&pi, &all, &x, &y, step);
+                    let want = edge_sweep_binary_search(&pi, &all, &x, &y, step);
+                    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{n} ranks, rank {rank}, step {step}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "node must be local")]
+    fn sweep_rejects_endpoint_missing_from_node_list() {
+        let pi = PartitionedIndex {
+            edge_ids: vec![0, 1],
+            edge_nodes: vec![(1, 4), (4, 9)],
+            owned_nodes: vec![1, 4],
+            ghost_nodes: vec![9],
+        };
+        // Node 9 dropped from the local list: its edge has no slot.
+        edge_sweep(&pi, &[1, 4], &[1.0, 2.0], &[0.5, 0.25], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "node must be local")]
+    fn sweep_rejects_endpoint_inside_table_range_but_not_local() {
+        // Node 5 lies below the largest local node, so it has a table
+        // entry, but no slot.
+        let pi = PartitionedIndex {
+            edge_ids: vec![0],
+            edge_nodes: vec![(2, 5)],
+            owned_nodes: vec![2],
+            ghost_nodes: vec![7],
+        };
+        edge_sweep(&pi, &[2, 7], &[1.0], &[0.5, 0.25], 0);
     }
 
     #[test]

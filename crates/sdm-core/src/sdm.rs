@@ -631,8 +631,7 @@ impl Sdm {
         }
         // analyze:allow(unwrap: slot_view succeeded a few lines up and no slot was dropped since)
         let view = self.slot_view(s).expect("checked above");
-        let user = view.to_user_order(&file_ordered)?;
-        out.copy_from_slice(&user);
+        view.scatter_to_user(&file_ordered, out)?;
         if self.cfg.org.opens_per_timestep() {
             let f = self
                 .group_at_mut(s.group_handle())?

@@ -6,7 +6,7 @@
 //! user's buffer on writes (and inverted on reads), keeping the user's
 //! local element order intact while the file sees globally ordered data.
 
-use sdm_mpi::datatype::{Datatype, Flattened};
+use sdm_mpi::datatype::Flattened;
 
 use crate::error::{SdmError, SdmResult};
 use crate::types::SdmType;
@@ -30,17 +30,25 @@ impl DataView {
     /// Compile a map array. `global_len` is the dataset's global element
     /// count (for bounds checks); duplicate indices are rejected.
     pub fn compile(map: &[u64], global_len: u64, ty: SdmType) -> SdmResult<Self> {
-        let mut idx: Vec<u32> = (0..map.len() as u32).collect();
-        idx.sort_unstable_by_key(|&k| map[k as usize]);
-        let sorted_map: Vec<u64> = idx.iter().map(|&k| map[k as usize]).collect();
-        for w in sorted_map.windows(2) {
-            if w[0] == w[1] {
-                return Err(SdmError::Usage(format!(
-                    "duplicate global index {} in map array",
-                    w[0]
-                )));
+        // Maps that are already strictly ascending (edge ids, owned and
+        // ghost node lists) skip the argsort: the permutation is the
+        // identity and there can be no duplicate.
+        let (sorted_map, perm) = if map.windows(2).all(|w| w[0] < w[1]) {
+            (map.to_vec(), (0..map.len() as u32).collect())
+        } else {
+            let mut idx: Vec<u32> = (0..map.len() as u32).collect();
+            idx.sort_unstable_by_key(|&k| map[k as usize]);
+            let sorted_map: Vec<u64> = idx.iter().map(|&k| map[k as usize]).collect();
+            for w in sorted_map.windows(2) {
+                if w[0] == w[1] {
+                    return Err(SdmError::Usage(format!(
+                        "duplicate global index {} in map array",
+                        w[0]
+                    )));
+                }
             }
-        }
+            (sorted_map, idx)
+        };
         if let Some(&last) = sorted_map.last() {
             if last >= global_len {
                 return Err(SdmError::Usage(format!(
@@ -48,21 +56,27 @@ impl DataView {
                 )));
             }
         }
-        let elem = match ty {
-            SdmType::Double => Datatype::double(),
-            SdmType::Int32 => Datatype::int32(),
-            SdmType::Int64 => Datatype::int64(),
+        // The filetype `resized(global_len, indexed_block(1, sorted_map))`
+        // flattened in one pass: runs of consecutive indices coalesce
+        // into one byte segment each.
+        let esize = ty.size();
+        let mut segments: Vec<(u64, u64)> = Vec::new();
+        for &g in &sorted_map {
+            match segments.last_mut() {
+                Some((off, len)) if *off + *len == g * esize => *len += esize,
+                _ => segments.push((g * esize, esize)),
+            }
+        }
+        let ftype = Flattened {
+            segments,
+            extent: global_len * esize,
+            size: sorted_map.len() as u64 * esize,
         };
-        let dtype = Datatype::resized(
-            global_len * ty.size(),
-            Datatype::indexed_block(1, sorted_map.clone(), elem),
-        );
-        let ftype = dtype.flatten()?;
         Ok(Self {
             sorted_map,
-            perm: idx,
+            perm,
             ftype,
-            elem_size: ty.size(),
+            elem_size: esize,
         })
     }
 
@@ -109,19 +123,27 @@ impl DataView {
         Ok(out)
     }
 
-    /// Scatter file-ordered data back into the user's local order.
+    /// Scatter file-ordered data into the caller's buffer, in the
+    /// user's local order.
+    pub fn scatter_to_user<T: Copy>(&self, file_ordered: &[T], out: &mut [T]) -> SdmResult<()> {
+        for (what, len) in [("file", file_ordered.len()), ("output", out.len())] {
+            if len != self.perm.len() {
+                return Err(SdmError::Usage(format!(
+                    "{what} buffer has {len} elements but view selects {}",
+                    self.perm.len()
+                )));
+            }
+        }
+        for (&v, &p) in file_ordered.iter().zip(&self.perm) {
+            out[p as usize] = v;
+        }
+        Ok(())
+    }
+
+    /// [`DataView::scatter_to_user`] into a fresh buffer.
     pub fn to_user_order<T: Copy + Default>(&self, file_ordered: &[T]) -> SdmResult<Vec<T>> {
-        if file_ordered.len() != self.perm.len() {
-            return Err(SdmError::Usage(format!(
-                "file buffer has {} elements but view selects {}",
-                file_ordered.len(),
-                self.perm.len()
-            )));
-        }
-        let mut out = vec![T::default(); file_ordered.len()];
-        for (k, &p) in self.perm.iter().enumerate() {
-            out[p as usize] = file_ordered[k];
-        }
+        let mut out = vec![T::default(); self.perm.len()];
+        self.scatter_to_user(file_ordered, &mut out)?;
         Ok(out)
     }
 }
@@ -171,6 +193,7 @@ mod tests {
         let v = DataView::compile(&[0, 2], 4, SdmType::Double).unwrap();
         assert!(v.to_file_order(&[1.0]).is_err());
         assert!(v.to_user_order(&[1.0, 2.0, 3.0]).is_err());
+        assert!(v.scatter_to_user(&[1.0, 2.0], &mut [0.0; 3]).is_err());
         assert!(v.to_file_order_bytes(&[1.0]).is_err());
     }
 

@@ -4,6 +4,11 @@
 //!   through the permutation and reading back through its inverse is
 //!   the identity, for arbitrary (unique, in-range, shuffled) map
 //!   arrays.
+//! * Property: the single-pass filetype `DataView::compile` builds is
+//!   exactly the flattened `resized(indexed_block(1, sorted_map))`
+//!   datatype, for ascending, shuffled, reversed, gapped and empty maps
+//!   of every `SdmType`; duplicate and out-of-range maps are rejected
+//!   with the same `SdmError::Usage` messages.
 //! * `TimestepScope` writes are **byte-identical** to the per-dataset
 //!   legacy path at all three file-organization levels, while paying
 //!   one metadata sync per timestep instead of one per dataset and
@@ -16,10 +21,10 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use sdm::core::schema::ExecutionRow;
 use sdm::core::view::DataView;
-use sdm::core::{OrgLevel, Sdm, SdmConfig, SdmType};
+use sdm::core::{OrgLevel, Sdm, SdmConfig, SdmError, SdmType};
 use sdm::metadb::stmt::Query;
 use sdm::metadb::Database;
-use sdm::mpi::World;
+use sdm::mpi::{Datatype, World};
 use sdm::pfs::Pfs;
 use sdm::sim::MachineConfig;
 
@@ -69,6 +74,99 @@ proptest! {
         }
         let back = v.to_user_order(&file_order).unwrap();
         prop_assert_eq!(back, user);
+    }
+}
+
+// ---------------------------------------------------------------------
+// DataView filetype ≡ flattened indexed_block datatype (proptest)
+// ---------------------------------------------------------------------
+
+/// The filetype `DataView::compile` must produce, via the datatype
+/// algebra: `resized(global_len, indexed_block(1, sorted map))`.
+fn flattened_indexed_block(map: &[u64], global_len: u64, ty: SdmType) -> sdm::mpi::Flattened {
+    let mut sorted = map.to_vec();
+    sorted.sort_unstable();
+    let elem = match ty {
+        SdmType::Double => Datatype::double(),
+        SdmType::Int32 => Datatype::int32(),
+        SdmType::Int64 => Datatype::int64(),
+    };
+    Datatype::resized(
+        global_len * ty.size(),
+        Datatype::indexed_block(1, sorted, elem),
+    )
+    .flatten()
+    .unwrap()
+}
+
+/// Put a map in one of the orders the proptest covers: as generated
+/// (ascending), shuffled, or reversed.
+fn reorder(map: &mut [u64], order: u8, seed: u64) {
+    match order {
+        0 => {}
+        1 => shuffle(map, seed),
+        _ => map.reverse(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn view_ftype_equals_flattened_indexed_block(
+        // (gap before, length) of each run of consecutive indices; a
+        // zero gap makes the run adjoin the previous one.
+        runs in proptest::collection::vec((0u64..6, 1u64..5), 0..16),
+        tail in 0u64..3,
+        order in 0u8..3,
+        ty in 0usize..3,
+        seed in 0u64..10_000,
+    ) {
+        let ty = [SdmType::Double, SdmType::Int32, SdmType::Int64][ty];
+        let mut map = Vec::new();
+        let mut next = 0u64;
+        for (gap, len) in runs {
+            next += gap;
+            map.extend(next..next + len);
+            next += len;
+        }
+        let global_len = next + tail;
+        reorder(&mut map, order, seed);
+
+        let v = DataView::compile(&map, global_len, ty).unwrap();
+        prop_assert_eq!(&v.ftype, &flattened_indexed_block(&map, global_len, ty));
+        prop_assert_eq!(v.elem_size, ty.size());
+        for (k, &p) in v.perm.iter().enumerate() {
+            prop_assert_eq!(map[p as usize], v.sorted_map[k]);
+        }
+
+        if let Some(&max) = map.iter().max() {
+            // A repeated index, wherever it lands, is rejected.
+            let g = map[seed as usize % map.len()];
+            let mut dup = map.clone();
+            dup.push(g);
+            dup.sort_unstable();
+            reorder(&mut dup, order, seed);
+            match DataView::compile(&dup, global_len, ty) {
+                Err(SdmError::Usage(msg)) => {
+                    prop_assert_eq!(msg, format!("duplicate global index {g} in map array"))
+                }
+                other => prop_assert!(false, "duplicate {g} accepted: {other:?}"),
+            }
+            // So is an index past the end, ascending or not.
+            let last = global_len + tail;
+            prop_assert!(last > max);
+            let mut oob = map.clone();
+            oob.push(last);
+            reorder(&mut oob, order, seed);
+            match DataView::compile(&oob, global_len, ty) {
+                Err(SdmError::Usage(msg)) => prop_assert_eq!(
+                    msg,
+                    format!("map index {last} out of range for global size {global_len}")
+                ),
+                other => prop_assert!(false, "index {last} accepted: {other:?}"),
+            }
+        }
     }
 }
 
