@@ -282,10 +282,8 @@ pub fn compiled_eval(path: &str, model: &Model) -> Vec<Finding> {
 // --------------------------------------------------------------- wal-ordering
 
 /// Where `sdm-metadb` *is* allowed to touch the filesystem directly: the
-/// WAL storage backends (the durability layer itself) and the snapshot
-/// persistence module (whose save rides the WAL's `write_atomic`).
+/// WAL storage backends (the durability layer itself).
 const WAL_FS_ALLOWLIST_PREFIX: &str = "crates/sdm-metadb/src/wal/";
-const WAL_FS_ALLOWLIST: &[&str] = &["crates/sdm-metadb/src/persist.rs"];
 
 /// `std::fs` free functions that mutate the filesystem. Reads
 /// (`fs::read`, `fs::read_dir`, …) are deliberately absent: recovery and
@@ -307,15 +305,12 @@ const FS_MUTATORS: &[&str] = &[
 const FILE_WRITERS: &[&str] = &["create", "create_new", "options"];
 
 /// Rule `wal-ordering`: no direct filesystem writes in `sdm-metadb`
-/// outside `wal/` and `persist.rs`. Durable state must flow through the
+/// outside `wal/`. Durable state must flow through the
 /// `WalStorage` seam — a stray `fs::write`/`File::create` elsewhere in
 /// the engine is a mutation crash recovery can never replay, silently
 /// breaking the append-before-apply invariant.
 pub fn wal_ordering(path: &str, model: &Model) -> Vec<Finding> {
-    if !path.starts_with("crates/sdm-metadb/src/")
-        || path.starts_with(WAL_FS_ALLOWLIST_PREFIX)
-        || WAL_FS_ALLOWLIST.contains(&path)
-    {
+    if !path.starts_with("crates/sdm-metadb/src/") || path.starts_with(WAL_FS_ALLOWLIST_PREFIX) {
         return Vec::new();
     }
     let mut findings = Vec::new();
@@ -346,10 +341,9 @@ pub fn wal_ordering(path: &str, model: &Model) -> Vec<Finding> {
                 file: path.to_string(),
                 line,
                 snippet: model.snippet(line),
-                message: "direct filesystem write inside sdm-metadb but outside wal/ and \
-                          persist.rs; durable mutations must go through the `WalStorage` seam so \
-                          crash recovery can replay them, or justify with \
-                          `// analyze:allow(wal-ordering: …)`"
+                message: "direct filesystem write inside sdm-metadb but outside wal/; durable \
+                          mutations must go through the `WalStorage` seam so crash recovery can \
+                          replay them, or justify with `// analyze:allow(wal-ordering: …)`"
                     .into(),
                 chain: Vec::new(),
             });
@@ -473,7 +467,8 @@ mod tests {
     fn wal_ordering_exempts_wal_persist_reads_and_tests() {
         let write = "fn f(p: &Path) { fs::write(p, b\"x\").ok(); }";
         assert!(findings("crates/sdm-metadb/src/wal/storage.rs", write).is_empty());
-        assert!(findings("crates/sdm-metadb/src/persist.rs", write).is_empty());
+        // Only `wal/` is exempt; every other engine module is flagged.
+        assert_eq!(findings("crates/sdm-metadb/src/persist.rs", write).len(), 1);
         assert!(findings("crates/sdm-core/src/store.rs", write).is_empty());
         let read = "fn f(p: &Path) { fs::read_to_string(p).ok(); fs::read_dir(p).ok(); }";
         assert!(findings("crates/sdm-metadb/src/table.rs", read).is_empty());

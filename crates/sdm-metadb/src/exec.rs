@@ -41,15 +41,15 @@ pub struct DbStats {
     /// SELECT plans that probed an index with a full equality key
     /// (includes MIN/MAX first/last-key peeks).
     pub plan_point_probes: u64,
-    /// SELECT plans that probed an ordered index with an equality
+    /// SELECT plans that probed an index with an equality
     /// prefix plus a range (or open prefix) on the next key column.
     pub plan_range_probes: u64,
-    /// SELECT plans that streamed an ordered index in key order to
+    /// SELECT plans that streamed an index in key order to
     /// satisfy ORDER BY (stopping at LIMIT) instead of sorting.
     pub plan_ordered_scans: u64,
     /// ORDER BY clauses that materialized rows and sorted them.
     pub order_sorts: u64,
-    /// ORDER BY clauses satisfied by an ordered index's key order —
+    /// ORDER BY clauses satisfied by an index's key order —
     /// the sort that never ran.
     pub sorts_avoided: u64,
     /// Statement preparations served from the parsed-plan cache.
@@ -88,7 +88,7 @@ pub struct DbStats {
     /// Index probes issued by index-nested-loop joins (one per
     /// non-NULL outer join key).
     pub join_index_probes: u64,
-    /// Merge joins streamed off two ordered indexes in key order.
+    /// Merge joins streamed off two indexes in key order.
     pub join_merge_joins: u64,
     /// Joins that fell back to building a hash table over one side —
     /// the bench asserts this stays 0 on the indexed join workload.
@@ -486,26 +486,31 @@ impl Candidates<'_> {
 /// How the chosen plan restricted the candidates, for `DbStats`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum PlanKind {
-    /// Full-key equality probe (hash bucket or ordered point lookup).
+    /// Full-key equality probe (one bucket).
     Point,
-    /// Equality-prefix + range (or open prefix) walk of an ordered
-    /// index.
+    /// Equality-prefix + range (or open prefix) walk of an index.
     Range,
 }
 
 /// The cost-based access-path choice for one table: `None` means full
 /// scan.
 ///
-/// The planner harvests per-column bounds from the WHERE conjuncts,
-/// then costs every index against them using the table's statistics —
-/// `Table::len` (row count) and `Table::index_distinct_keys`
-/// (cardinality). Indexes are tried most-selective-first (fewest
-/// estimated rows per key); point probes cost their exact bucket
-/// length, and range walks count candidates as they collect, aborting
-/// as soon as they exceed the best plan so far — or the full-scan cost,
-/// so a range that would sweep the whole table loses to the scan that
-/// avoids the extra bookkeeping. Candidates are a superset of the
-/// matching rows; callers re-verify with the full predicate.
+/// The planner harvests per-column bounds from the WHERE conjuncts and
+/// derives one access path per index: the longest equality-pinned
+/// prefix of its columns plus the bounds on the next one. Point probes
+/// (every column pinned) go before range walks; within each, paths
+/// restricting more key columns go first, then the most selective by
+/// the table's statistics — `Table::len` (row count) over
+/// `Table::index_distinct_keys` (cardinality). A path whose restricted
+/// columns the best plan already restricts yields a superset of its
+/// candidates and is skipped: after a `(runid, ts)` walk with `runid`
+/// pinned, a `(ts)` walk under the same bounds cannot win. Point probes
+/// cost their exact bucket length; range walks count candidates as they
+/// collect and abort as soon as they exceed the best plan so far — or
+/// the full-scan cost, so a range that would sweep the whole table
+/// loses to the scan that avoids the extra bookkeeping. Candidates are
+/// a superset of the matching rows; callers re-verify with the full
+/// predicate.
 fn plan_candidates<'c>(
     t: &'c crate::table::Table,
     rel: &TableRel<'_>,
@@ -523,48 +528,55 @@ fn plan_candidates<'c>(
         return Some((Candidates::Borrowed(&[]), PlanKind::Point));
     }
     let rows = t.len();
-    let mut order: Vec<usize> = (0..t.indexes().len()).collect();
-    order.sort_by_key(|&i| rows / t.index_distinct_keys(i).max(1));
-    let mut best: Option<(Candidates<'c>, PlanKind)> = None;
-    for i in order {
-        let def = &t.indexes()[i];
-        let best_len = best
-            .as_ref()
-            .map_or(usize::MAX, |(c, _)| c.as_slice().len());
-        // Longest equality-pinned prefix of this index's columns.
+    let bound_on = |c: &str| bounds.iter().find(|b| b.col.eq_ignore_ascii_case(c));
+    let mut paths = Vec::new();
+    for (i, def) in t.indexes().iter().enumerate() {
         let eq_vals: Vec<&Value> = def
             .columns
             .iter()
-            .map_while(|c| {
-                bounds
-                    .iter()
-                    .find(|b| b.col.eq_ignore_ascii_case(c))
-                    .and_then(|b| b.eq.as_ref())
-            })
+            .map_while(|c| bound_on(c).and_then(|b| b.eq.as_ref()))
             .collect();
         let k = eq_vals.len();
-        if k == def.columns.len() {
-            if let Some(hits) = t.probe_point(i, &eq_vals) {
-                if hits.len() < best_len {
-                    best = Some((Candidates::Borrowed(hits), PlanKind::Point));
-                }
-            }
+        let (lo, hi) = def
+            .columns
+            .get(k)
+            .and_then(|c| bound_on(c))
+            .map_or((None, None), |b| (b.lo.as_ref(), b.hi.as_ref()));
+        let restricted = k + usize::from(lo.is_some() || hi.is_some());
+        if restricted == 0 {
+            continue; // unrestricted: that is just a scan
+        }
+        let walk = k < def.columns.len();
+        let per_key = rows / t.index_distinct_keys(i).max(1);
+        let rank = (walk, std::cmp::Reverse(restricted), per_key);
+        paths.push((rank, i, &def.columns[..restricted], eq_vals, lo, hi));
+    }
+    paths.sort_by_key(|p| p.0);
+    let mut best: Option<(Candidates<'c>, PlanKind)> = None;
+    let mut best_cols: &[String] = &[];
+    for (_, i, cols, eq_vals, lo, hi) in paths {
+        if best.is_some()
+            && cols
+                .iter()
+                .all(|c| best_cols.iter().any(|b| b.eq_ignore_ascii_case(c)))
+        {
             continue;
         }
-        if !def.ordered {
-            continue; // hash indexes answer full-key equality only
-        }
-        // Range (or open prefix) walk on the first unpinned column.
-        let (lo, hi) = bounds
-            .iter()
-            .find(|b| b.col.eq_ignore_ascii_case(&def.columns[k]))
-            .map_or((None, None), |b| (b.lo.as_ref(), b.hi.as_ref()));
-        if k == 0 && lo.is_none() && hi.is_none() {
-            continue; // unrestricted: that is just a scan
+        let best_len = best
+            .as_ref()
+            .map_or(usize::MAX, |(c, _)| c.as_slice().len());
+        // `None`: the pinned prefix is shorter than the key — a walk.
+        if let Some(hits) = t.probe_point(i, &eq_vals) {
+            if hits.len() < best_len {
+                best = Some((Candidates::Borrowed(hits), PlanKind::Point));
+                best_cols = cols;
+            }
+            continue;
         }
         let abort_at = best_len.min(rows).saturating_sub(1);
         if let Some(hits) = t.probe_range(i, &eq_vals, lo, hi, abort_at) {
             best = Some((Candidates::Owned(hits), PlanKind::Range));
+            best_cols = cols;
         }
     }
     best
@@ -637,13 +649,13 @@ fn pure_eq_conjuncts<'a>(
     }
 }
 
-/// Try to answer every aggregate item by peeking at an ordered index
+/// Try to answer every aggregate item by peeking at an index
 /// edge (MIN/MAX) or the table length (unfiltered COUNT(*)), without
 /// visiting any rows. All-or-nothing: if any item can't be peeked the
 /// whole query falls back to the streaming pass, so the recorded plan
 /// stats describe the real access path.
 ///
-/// A MIN(c)/MAX(c) peek needs an ordered index whose columns are
+/// A MIN(c)/MAX(c) peek needs an index whose columns are
 /// exactly the equality-pinned conjunct columns followed by `c` — the
 /// pinned prefix covers *all but the last* key column, so every row
 /// that is SQL-equal on `c` lands in one bucket and the bucket's first
@@ -676,8 +688,7 @@ fn peek_aggregates(
             (AggFunc::Min | AggFunc::Max, Some(c)) => {
                 let agg_col = &rel.schema.columns[*c].name;
                 let (i, def) = t.indexes().iter().enumerate().find(|(_, d)| {
-                    d.ordered
-                        && d.columns.len() == conjuncts.len() + 1
+                    d.columns.len() == conjuncts.len() + 1
                         && d.columns
                             .last()
                             .is_some_and(|l| l.eq_ignore_ascii_case(agg_col))
@@ -715,7 +726,7 @@ fn peek_aggregates(
 /// `SELECT <aggregates only> FROM t [WHERE ...]`: one streaming pass over
 /// borrowed rows (index-probed when possible). This is the `next_runid`
 /// fast path — `SELECT MAX(runid)` touches each candidate row once and
-/// clones nothing; when an ordered index covers the aggregate it touches
+/// clones nothing; when an index covers the aggregate it touches
 /// **no** rows and peeks the index edge instead.
 #[allow(clippy::too_many_arguments)]
 fn exec_simple_aggregates(
@@ -942,7 +953,6 @@ pub(crate) fn execute_mutation(
             name,
             table,
             columns,
-            ordered,
         } => {
             let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
             let t = catalog.get_mut(table)?;
@@ -951,17 +961,16 @@ pub(crate) fn execute_mutation(
             // invalid requests fall through to the canonical error.
             let will_create = !columns.is_empty()
                 && columns.iter().all(|c| t.schema.index_of(c).is_ok())
-                && (*ordered || columns.len() == 1)
                 && !t
                     .indexes()
                     .iter()
                     .any(|i| i.name.eq_ignore_ascii_case(name));
             if will_create {
                 if let Some(wal) = wal {
-                    wal.create_index(table, name, columns, *ordered);
+                    wal.create_index(table, name, columns);
                 }
             }
-            t.create_index(name, &cols, *ordered)?;
+            t.create_index(name, &cols)?;
             if let Some(undo) = undo {
                 undo.push(UndoRecord::CreateIndex {
                     table: table.clone(),
@@ -1287,7 +1296,7 @@ fn exec_select(
     }
 
     // ---- Source relation ----
-    // Set when an ordered index already delivered the rows in ORDER BY
+    // Set when an index already delivered the rows in ORDER BY
     // order (and honored LIMIT): the sort below is skipped.
     let mut ordered_by_index = false;
     type Source = (Vec<(String, String)>, Vec<Row>, Arc<CompiledPlan>);
@@ -1305,7 +1314,7 @@ fn exec_select(
                 .as_ref()
                 .is_some_and(|is| is.iter().any(|i| matches!(i.expr, SelExpr::Agg { .. })));
             // Index-backed ORDER BY: stream rows straight out of an
-            // ordered index when one delivers the requested order, and
+            // index when one delivers the requested order, and
             // either a LIMIT makes early exit pay or no probe plan
             // beats walking keys in order anyway.
             let streamed = if !distinct
@@ -1580,9 +1589,9 @@ fn lower_having(p: &mut CompiledPlan, having: &Option<Expr>, items: &Option<Vec<
 
 /// Candidate row pairs of an eq-join, picked by index availability:
 ///
-/// 1. **merge join** when both sides have an ordered index *led* by
-///    their join column — stream both key orders once, cross-producting
-///    runs of equal keys;
+/// 1. **merge join** when both sides have an index *led* by their join
+///    column — stream both key orders once, cross-producting runs of
+///    equal keys;
 /// 2. **index-nested-loop** probing the right side's index per left row
 ///    (or, failing that, the left side's per right row);
 /// 3. the **hash build** over the right side as the last resort.
@@ -1601,16 +1610,14 @@ fn join_pairs(
 ) -> Vec<(usize, usize)> {
     let lix = left.join_index(&left.schema.columns[lcol].name);
     let rix = right.join_index(&right.schema.columns[rcol].name);
-    if let (Some((li, true)), Some((ri, true))) = (lix, rix) {
-        if let (Some(lg), Some(rg)) = (left.ordered_groups(li), right.ordered_groups(ri)) {
-            stats.index_scans += 1;
-            stats.join_merge_joins += 1;
-            return merge_pairs(lg, rg);
-        }
+    if let (Some(li), Some(ri)) = (lix, rix) {
+        stats.index_scans += 1;
+        stats.join_merge_joins += 1;
+        return merge_pairs(left.ordered_groups(li), right.ordered_groups(ri));
     }
     let mut pairs = Vec::new();
     let mut buf = Vec::new();
-    if let Some((ri, _)) = rix {
+    if let Some(ri) = rix {
         stats.index_scans += 1;
         for (lp, l) in left.rows().iter().enumerate() {
             if l[lcol].is_null() {
@@ -1622,7 +1629,7 @@ fn join_pairs(
         }
         return pairs;
     }
-    if let Some((li, _)) = lix {
+    if let Some(li) = lix {
         stats.index_scans += 1;
         for (rp, r) in right.rows().iter().enumerate() {
             if r[rcol].is_null() {
@@ -1701,8 +1708,8 @@ fn merge_pairs<'a>(
     pairs
 }
 
-/// Stream the source rows of a single-table SELECT out of an ordered
-/// index that already delivers the ORDER BY order, honoring LIMIT as an
+/// Stream the source rows of a single-table SELECT out of an index
+/// that already delivers the ORDER BY order, honoring LIMIT as an
 /// early exit. Returns `None` when no index qualifies.
 ///
 /// An index qualifies when its key columns are exactly an
@@ -1740,9 +1747,6 @@ fn stream_ordered_rows(
         return Ok(None); // empty result; the probe plan reports it
     }
     for (i, def) in t.indexes().iter().enumerate() {
-        if !def.ordered {
-            continue;
-        }
         let prefix: Vec<&Value> = def
             .columns
             .iter()
@@ -1766,9 +1770,7 @@ fn stream_ordered_rows(
             .iter()
             .find(|b| b.col.eq_ignore_ascii_case(&def.columns[e]))
             .map_or((None, None), |b| (b.lo.as_ref(), b.hi.as_ref()));
-        let Some(iter) = t.stream_ordered(i, &prefix, lo, hi, desc) else {
-            continue;
-        };
+        let iter = t.stream_ordered(i, &prefix, lo, hi, desc);
         stats.index_scans += 1;
         stats.plan_ordered_scans += 1;
         stats.sorts_avoided += 1;
@@ -2249,7 +2251,10 @@ mod tests {
             stats.rows_scanned, 5,
             "probe visits only the candidate bucket"
         );
-        // Non-equality predicates fall back to a scan.
+        // A range on the indexed column walks the index too; the strict
+        // bound widens to `k >= 3`, and re-verification drops the k = 3
+        // bucket.
+        let mut stats = DbStats::default();
         let out = execute_with_stats(
             &mut c,
             &parse("SELECT COUNT(*) FROM h WHERE k > 3").unwrap(),
@@ -2258,6 +2263,16 @@ mod tests {
         )
         .unwrap();
         assert_eq!(rows_of(out), vec![vec![Value::Int(30)]]);
+        assert_eq!((stats.plan_range_probes, stats.rows_scanned), (1, 35));
+        // A predicate on an unindexed column falls back to a scan.
+        let out = execute_with_stats(
+            &mut c,
+            &parse("SELECT COUNT(*) FROM h WHERE v = 'x'").unwrap(),
+            &[],
+            &mut stats,
+        )
+        .unwrap();
+        assert_eq!(rows_of(out), vec![vec![Value::Int(50)]]);
         assert_eq!(stats.full_scans, 1);
     }
 
@@ -2409,7 +2424,7 @@ mod tests {
                 );
             }
         }
-        run(&mut c, "CREATE ORDERED INDEX e_rt ON e (runid, ts)", &[]);
+        run(&mut c, "CREATE INDEX e_rt ON e (runid, ts)", &[]);
         c
     }
 
@@ -2551,7 +2566,7 @@ mod tests {
                 );
             }
             if indexed {
-                run(&mut c, "CREATE ORDERED INDEX sk ON s (k)", &[]);
+                run(&mut c, "CREATE INDEX sk ON s (k)", &[]);
             }
             c
         };
@@ -2598,7 +2613,7 @@ mod tests {
         let out = run(&mut c, "SELECT MAX(ts) FROM e WHERE runid = 9", &[]);
         assert_eq!(rows_of(out), vec![vec![Value::Null]]);
         // Unfiltered MAX peeks the index tail (run_table's AllocMax).
-        run(&mut c, "CREATE ORDERED INDEX e_ts ON e (ts)", &[]);
+        run(&mut c, "CREATE INDEX e_ts ON e (ts)", &[]);
         let mut stats = DbStats::default();
         let out = execute_with_stats(
             &mut c,

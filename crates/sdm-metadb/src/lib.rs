@@ -6,8 +6,9 @@
 //! placeholders) against six small tables; this crate provides that
 //! surface — plus the reporting features the bench harnesses lean on:
 //! aggregates (COUNT/SUM/AVG/MIN/MAX), GROUP BY + HAVING, DISTINCT,
-//! single-column INNER JOIN, secondary hash indexes (CREATE INDEX) with
-//! automatic equality-probe planning and incremental maintenance, and
+//! single-column INNER JOIN, ordered secondary indexes over one or more
+//! columns (CREATE INDEX) with cost-based point/range/stream planning
+//! and incremental maintenance, and
 //! undo-log transactions (BEGIN/COMMIT/ROLLBACK cost O(rows touched),
 //! never O(database)) — as an in-process engine:
 //!
@@ -16,7 +17,7 @@
 //! * [`sql`] — lexer, AST, recursive-descent parser for the SQL subset.
 //! * [`exec`] — statement execution (shared-borrow reads, undo-logging
 //!   mutations) with index-backed join strategies (merge and
-//!   index-nested-loop over ordered indexes, hash join as fallback).
+//!   index-nested-loop over indexes, hash join as fallback).
 //! * [`eval`] — compiled expression evaluation: predicates lowered once
 //!   into flat instruction lists (column slots, interned constants,
 //!   short-circuit jumps) and run per row against a register file with
@@ -31,9 +32,8 @@
 //!   ([`stmt::Query`] / [`stmt::Insert`] / [`stmt::Update`] /
 //!   [`stmt::Delete`]) into compiled [`stmt::Stmt`] values that execute
 //!   with zero SQL-text formatting or parsing.
-//! * [`persist`] — JSON snapshot persistence, so metadata survives
-//!   "runs" the way a MySQL server's tables did.
-//! * [`wal`] — **durability**: a write-ahead log with group commit,
+//! * [`wal`] — **durability**, so metadata survives "runs" the way a
+//!   MySQL server's tables did: a write-ahead log with group commit,
 //!   checkpoints, and crash recovery ([`Database::open`] replays the
 //!   log to exactly the last committed transaction), behind a
 //!   [`wal::storage::WalStorage`] trait with fsync'd-file and
@@ -48,7 +48,6 @@ pub mod db;
 pub mod error;
 pub mod eval;
 pub mod exec;
-pub mod persist;
 pub mod schema;
 pub mod sql;
 pub mod stmt;

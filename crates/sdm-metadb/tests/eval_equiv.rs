@@ -5,7 +5,7 @@
 //!   signed zero, integers beyond 2^53, `i64::MIN`) must evaluate
 //!   identically through the compiled instruction-list program and the
 //!   AST walker — same value bits, same truthiness, same errors;
-//! * the three join strategies (merge over two ordered indexes,
+//! * the three join strategies (merge over two indexes,
 //!   index-nested-loop probes, hash fallback) must return identical
 //!   result sets in identical order for the same data.
 //!
@@ -173,7 +173,7 @@ proptest! {
 // ------------------------------------------------------------------ joins
 
 /// Three databases with identical data whose index layouts force the
-/// three join strategies: both sides runid-led ordered (merge), inner
+/// three join strategies: both sides indexed on the key (merge), inner
 /// side only (index-nested-loop), no useful index (hash fallback).
 fn join_dbs(rows_l: &[(Option<i64>, i64)], rows_r: &[(Option<i64>, i64)]) -> [Database; 3] {
     let dbs = [Database::new(), Database::new(), Database::new()];
@@ -191,17 +191,11 @@ fn join_dbs(rows_l: &[(Option<i64>, i64)], rows_r: &[(Option<i64>, i64)]) -> [Da
                 .unwrap();
         }
     }
-    // Merge: both sides ordered on the join key.
-    dbs[0]
-        .exec("CREATE ORDERED INDEX l_k ON l (k)", &[])
-        .unwrap();
-    dbs[0]
-        .exec("CREATE ORDERED INDEX r_k ON r (k)", &[])
-        .unwrap();
+    // Merge: both sides indexed on the join key.
+    dbs[0].exec("CREATE INDEX l_k ON l (k)", &[]).unwrap();
+    dbs[0].exec("CREATE INDEX r_k ON r (k)", &[]).unwrap();
     // INL: only the inner (right) side is indexed.
-    dbs[1]
-        .exec("CREATE ORDERED INDEX r_k ON r (k, w)", &[])
-        .unwrap();
+    dbs[1].exec("CREATE INDEX r_k ON r (k, w)", &[]).unwrap();
     dbs
 }
 

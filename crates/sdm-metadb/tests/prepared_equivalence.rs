@@ -7,10 +7,10 @@
 use proptest::prelude::*;
 use sdm_metadb::{Database, Value};
 
-/// Build twin tables with identical rows: `ti` carries hash indexes on
-/// both columns plus ordered indexes (a `(k, v)` composite and a
-/// single-column `v`) so every planner shape — point probe, range walk,
-/// prefix walk, ordered stream — competes against `tn`'s scans.
+/// Build twin tables with identical rows: `ti` carries single-column
+/// indexes on both columns plus a `(k, v)` composite and a second
+/// single-column `v` index, so every planner shape — point probe, range
+/// walk, prefix walk, ordered stream — competes against `tn`'s scans.
 fn twin_db(rows: &[(i64, i64)]) -> Database {
     let db = Database::new();
     db.exec("CREATE TABLE ti (k INT, v INT)", &[]).unwrap();
@@ -29,10 +29,8 @@ fn twin_db(rows: &[(i64, i64)]) -> Database {
     }
     db.exec("CREATE INDEX ti_k ON ti (k)", &[]).unwrap();
     db.exec("CREATE INDEX ti_v ON ti (v)", &[]).unwrap();
-    db.exec("CREATE ORDERED INDEX ti_kv ON ti (k, v)", &[])
-        .unwrap();
-    db.exec("CREATE ORDERED INDEX ti_vo ON ti (v)", &[])
-        .unwrap();
+    db.exec("CREATE INDEX ti_kv ON ti (k, v)", &[]).unwrap();
+    db.exec("CREATE INDEX ti_vo ON ti (v)", &[]).unwrap();
     db
 }
 
@@ -180,16 +178,14 @@ fn edge_twin_db(rows: &[(Value, Value)]) -> Database {
     }
     db.exec("CREATE INDEX ei_i ON ei (i)", &[]).unwrap();
     db.exec("CREATE INDEX ei_d ON ei (d)", &[]).unwrap();
-    db.exec("CREATE ORDERED INDEX ei_id ON ei (i, d)", &[])
-        .unwrap();
-    db.exec("CREATE ORDERED INDEX ei_do ON ei (d)", &[])
-        .unwrap();
+    db.exec("CREATE INDEX ei_id ON ei (i, d)", &[]).unwrap();
+    db.exec("CREATE INDEX ei_do ON ei (d)", &[]).unwrap();
     db
 }
 
 /// Edge-case templates; every `?` consumes one generated probe value.
 /// The range shapes aim signed-zero, NULL, and beyond-2^53 values at
-/// the ordered indexes' key-encoding boundaries — including NULL range
+/// the indexes' key-encoding boundaries — including NULL range
 /// bounds (match nothing) and ±0.0 at a range endpoint (one key).
 const EDGE_TEMPLATES: [&str; 10] = [
     "SELECT i, d FROM {T} WHERE i = ?",

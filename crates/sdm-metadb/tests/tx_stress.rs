@@ -81,6 +81,7 @@ fn rollback_under_concurrent_readers_restores_exact_rows() {
         for tx in 0..WRITER_TXS {
             let k = (tx as i64 * 7) % SEED_ROWS;
             db.exec("BEGIN", &[]).unwrap();
+            let reads_at_begin = reads.load(Ordering::Relaxed);
             for j in 0..3 {
                 let nk = SEED_ROWS + tx as i64 * 3 + j;
                 db.exec(
@@ -99,6 +100,18 @@ fn rollback_under_concurrent_readers_restores_exact_rows() {
                 &[Value::Int((k + 1) % SEED_ROWS)],
             )
             .unwrap();
+            if tx == 0 {
+                // Hold the first transaction open until some read
+                // completes inside it. Readers take only the shared
+                // catalog lock, so they finish without this writer; a
+                // reader that panicked ends the wait, and its join
+                // below reports the panic.
+                while reads.load(Ordering::Relaxed) == reads_at_begin
+                    && !readers.iter().any(|r| r.is_finished())
+                {
+                    std::thread::yield_now();
+                }
+            }
             db.exec("ROLLBACK", &[]).unwrap();
         }
         stop.store(true, Ordering::Relaxed);

@@ -18,8 +18,7 @@ sdm_metadb::relation! {
         /// Value.
         pub v: i64 => V,
     }
-    indexes { "ti_k" on k, "ti_v" on v }
-    ordered { "ti_kv" on (k, v), "ti_vo" on (v) }
+    indexes { "ti_k" on (k), "ti_v" on (v), "ti_kv" on (k, v), "ti_vo" on (v) }
 }
 
 sdm_metadb::relation! {
@@ -255,7 +254,7 @@ proptest! {
         let c = db.exec_stmt(&Stmt::parse(&q_i.to_sql()).unwrap(), &params).unwrap();
         prop_assert_eq!(&a.rows, &c.rows, "prefix_range to_sql round-trip diverged");
 
-        // Standalone between + top-k: streamed off the ordered `v`
+        // Standalone between + top-k: streamed off a `v`
         // index on one side, partial-sorted on the other.
         let q_i = Query::<TiRow>::filter(TiCol::V.between(param(0), param(1)))
             .order_by_desc(TiCol::V)
@@ -327,8 +326,7 @@ sdm_metadb::relation! {
         /// Integer payload.
         pub n: i64 => N,
     }
-    indexes { "td_d" on d, "td_n" on n }
-    ordered { "td_dn" on (d, n) }
+    indexes { "td_d" on (d), "td_n" on (n), "td_dn" on (d, n) }
 }
 
 sdm_metadb::relation! {

@@ -4,7 +4,7 @@
 //! each is described once by a static descriptor — DDL and the
 //! secondary indexes are generated from it via [`sdm_core::ensure_table`],
 //! and every query in [`crate::container`] is a typed statement. Every
-//! container lookup filters by run, so each table carries one ordered
+//! container lookup filters by run, so each table carries one
 //! composite index led by `runid`: run-only queries walk the prefix,
 //! and the narrower (runid, key) probes resolve to a single bucket.
 //! The second key column matches each table's point-lookup shape — and
@@ -24,7 +24,7 @@ relation! {
         /// Absolute group path (`/flow`).
         pub path: String => Path,
     }
-    ordered { "sci_group_runid_path" on (runid, path) }
+    indexes { "sci_group_runid_path" on (runid, path) }
 }
 
 relation! {
@@ -37,7 +37,7 @@ relation! {
         /// Dimension length.
         pub len: i64 => Len,
     }
-    ordered { "sci_dim_runid_name" on (runid, name) }
+    indexes { "sci_dim_runid_name" on (runid, name) }
 }
 
 relation! {
@@ -57,7 +57,7 @@ relation! {
         /// Total element count.
         pub global_size: i64 => GlobalSize,
     }
-    ordered { "sci_dataset_runid_ghandle" on (runid, ghandle) }
+    indexes { "sci_dataset_runid_ghandle" on (runid, ghandle) }
 }
 
 relation! {
@@ -79,7 +79,7 @@ relation! {
         /// Text payload (NULL unless `vtype = TEXT`).
         pub tval: String => Tval,
     }
-    ordered { "sci_attr_runid_path" on (runid, path) }
+    indexes { "sci_attr_runid_path" on (runid, path) }
 }
 
 /// The container layer's tables, in creation order.

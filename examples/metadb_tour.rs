@@ -1,7 +1,8 @@
 //! Tour of the metadata layer: the `MetadataStore` trait over the six
 //! SDM tables, typed statements compiled once (what PR 4 replaced the
 //! stringly SQL surface with), raw SQL at the embedded-engine level,
-//! and snapshot persistence — what MySQL did for the paper's SDM.
+//! and durable persistence (write-ahead log plus checkpoint) — what
+//! MySQL did for the paper's SDM.
 //!
 //! Run: `cargo run --example metadb_tour`
 
@@ -13,7 +14,9 @@ use sdm::metadb::stmt::{param, Query, TypedColumn};
 use sdm::metadb::{Database, Value};
 
 fn main() {
-    let db = Arc::new(Database::new());
+    // A durable database: every commit is logged under `dir`.
+    let dir = tempfile::tempdir().unwrap();
+    let db = Arc::new(Database::open(dir.path()).unwrap());
     let store = SqlStore::new(Arc::clone(&db));
 
     // The six tables of Figure 4, plus secondary indexes on the hot
@@ -92,16 +95,18 @@ fn main() {
         .is_none());
     println!("history miss for (18M, 32): fresh distribution required");
 
-    // Persistence: metadata must survive across runs.
-    let dir = std::env::temp_dir().join("sdm_metadb_tour.json");
-    db.save(&dir).unwrap();
-    let db2 = Database::load(&dir).unwrap();
+    // Persistence: metadata must survive across runs. A checkpoint
+    // folds the log into a snapshot; reopening recovers from it.
+    db.checkpoint().unwrap();
+    drop(store);
+    drop(db);
+    let db2 = Database::open(dir.path()).unwrap();
     let n = db2
         .exec("SELECT * FROM execution_table", &[])
         .unwrap()
         .len();
-    println!("\nreloaded snapshot: {n} execution rows survive");
+    println!("\nreopened from checkpoint: {n} execution rows survive");
     assert_eq!(n, 6);
-    std::fs::remove_file(&dir).ok();
+    assert_eq!(db2.recovery_info().unwrap().replayed_txs, 0);
     println!("OK");
 }

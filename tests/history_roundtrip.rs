@@ -173,7 +173,9 @@ fn truncated_history_file_falls_back_and_deregisters() {
 
 #[test]
 fn metadata_persists_across_database_sessions() {
-    let (w, pfs, db) = world();
+    let (w, pfs, _) = world();
+    let dir = tempfile::tempdir().unwrap();
+    let db = Arc::new(Database::open(dir.path()).unwrap());
     run(
         &w,
         &pfs,
@@ -184,11 +186,12 @@ fn metadata_persists_across_database_sessions() {
             ..Default::default()
         },
     );
-    // Save + reload the DB (a new "MySQL session"), keep the PFS.
-    let dir = tempfile::tempdir().unwrap();
-    let snap = dir.path().join("meta.json");
-    db.save(&snap).unwrap();
-    let db2 = Arc::new(Database::load(&snap).unwrap());
+    // Checkpoint, close, and reopen the DB (a new "MySQL session"),
+    // keep the PFS.
+    db.checkpoint().unwrap();
+    drop(db);
+    let db2 = Arc::new(Database::open(dir.path()).unwrap());
+    assert_eq!(db2.recovery_info().unwrap().replayed_txs, 0);
     let out = run(
         &w,
         &pfs,
