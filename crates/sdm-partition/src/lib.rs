@@ -6,7 +6,8 @@
 //!
 //! * [`multilevel`] — multilevel k-way partitioning in the MeTis style:
 //!   heavy-edge matching coarsening, greedy graph-growing initial
-//!   partition, and boundary FM refinement during uncoarsening.
+//!   partition, and boundary FM refinement during uncoarsening, with
+//!   each FM pass bounded by a run of non-improving moves as in MeTiS.
 //! * [`rcb`] — recursive coordinate bisection (geometric baseline).
 //! * [`block`] / [`random`] — degenerate baselines for tests and lower
 //!   bounds.

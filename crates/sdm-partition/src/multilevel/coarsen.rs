@@ -1,11 +1,15 @@
 //! Graph contraction.
 
-use std::collections::HashMap;
-
 use crate::multilevel::wgraph::WGraph;
 
 /// Contract matched pairs into coarse nodes. Returns the coarse graph and
-/// the projection map `cmap[fine] = coarse`.
+/// the projection map `cmap[fine] = coarse`. `mate` must be a matching:
+/// `mate[mate[v]] == v`, with `mate[v] == v` for unmatched nodes.
+///
+/// Each coarse row is gathered from its one or two fine members through
+/// a slot table (`slot[c]` is coarse neighbour `c`'s position in the row
+/// being built, `u32::MAX` when absent), so parallel fine edges merge
+/// into one coarse edge; the row is then sorted by neighbour id.
 pub fn contract(g: &WGraph, mate: &[u32]) -> (WGraph, Vec<u32>) {
     let n = g.n();
     let mut cmap = vec![u32::MAX; n];
@@ -24,57 +28,47 @@ pub fn contract(g: &WGraph, mate: &[u32]) -> (WGraph, Vec<u32>) {
     let mut vwgt = vec![0u64; ncn];
     for v in 0..n {
         vwgt[cmap[v] as usize] += g.vwgt[v];
-        // Matched partners share a coarse id; add each fine node once.
-        if mate[v] as usize != v && (mate[v] as usize) < v {
-            // already counted when we visited the partner — undo double add
-            // (handled by the guard below instead)
-        }
     }
-    // The loop above double-counts nothing: each fine v adds its own
-    // weight exactly once.
 
-    // Accumulate coarse edges.
-    let mut edges: HashMap<(u32, u32), u64> = HashMap::new();
+    let mut xadj = Vec::with_capacity(ncn + 1);
+    xadj.push(0usize);
+    let mut adjncy = Vec::with_capacity(g.adjncy.len());
+    let mut adjwgt = Vec::with_capacity(g.adjncy.len());
+    let mut slot = vec![u32::MAX; ncn];
+    let mut row: Vec<(u32, u64)> = Vec::new();
+    // Coarse ids were handed out in order of each pair's lower member, so
+    // visiting the lower members in order builds the rows in order.
     for v in 0..n {
+        let m = mate[v] as usize;
+        if m < v {
+            continue;
+        }
         let cv = cmap[v];
-        for e in g.nbr_range(v) {
-            let u = g.adjncy[e] as usize;
-            let cu = cmap[u];
-            if cu == cv {
-                continue; // interior (contracted) edge
-            }
-            if cv < cu {
-                *edges.entry((cv, cu)).or_insert(0) += g.adjwgt[e];
+        let pair = [v, m];
+        let members = if m == v { &pair[..1] } else { &pair[..] };
+        for &f in members {
+            for e in g.nbr_range(f) {
+                let cu = cmap[g.adjncy[e] as usize];
+                if cu == cv {
+                    continue; // interior (contracted) edge
+                }
+                match slot[cu as usize] {
+                    u32::MAX => {
+                        slot[cu as usize] = row.len() as u32;
+                        row.push((cu, g.adjwgt[e]));
+                    }
+                    s => row[s as usize].1 += g.adjwgt[e],
+                }
             }
         }
-    }
-    // edges counted once per direction of the fine edge with cv < cu;
-    // each undirected fine edge appears in adjncy twice (v->u and u->v),
-    // but only the direction with cv < cu accumulates, so each fine edge
-    // contributes its weight exactly once.
-
-    let mut sorted: Vec<((u32, u32), u64)> = edges.into_iter().collect();
-    sorted.sort_unstable_by_key(|&(k, _)| k);
-
-    let mut deg = vec![0usize; ncn];
-    for &((a, b), _) in &sorted {
-        deg[a as usize] += 1;
-        deg[b as usize] += 1;
-    }
-    let mut xadj = vec![0usize; ncn + 1];
-    for v in 0..ncn {
-        xadj[v + 1] = xadj[v] + deg[v];
-    }
-    let mut adjncy = vec![0u32; xadj[ncn]];
-    let mut adjwgt = vec![0u64; xadj[ncn]];
-    let mut fill = xadj.clone();
-    for &((a, b), w) in &sorted {
-        adjncy[fill[a as usize]] = b;
-        adjwgt[fill[a as usize]] = w;
-        fill[a as usize] += 1;
-        adjncy[fill[b as usize]] = a;
-        adjwgt[fill[b as usize]] = w;
-        fill[b as usize] += 1;
+        row.sort_unstable_by_key(|&(cu, _)| cu);
+        for &(cu, w) in &row {
+            slot[cu as usize] = u32::MAX;
+            adjncy.push(cu);
+            adjwgt.push(w);
+        }
+        row.clear();
+        xadj.push(adjncy.len());
     }
     (
         WGraph {

@@ -4,7 +4,11 @@
 //! matching until the graph is small, (2) an *initial partition* of the
 //! coarsest graph by greedy graph growing, (3) *uncoarsening* that
 //! projects the partition back level by level, running boundary FM
-//! refinement at each step.
+//! refinement at each step. As in MeTiS, an FM pass ends after a
+//! bounded run of moves that do not improve the cut ([`refine`]), and
+//! contraction merges parallel edges per coarse row through a slot
+//! table ([`coarsen`]); neither changes the partitions of the
+//! benchmark meshes (see `tests/golden.rs`).
 
 pub mod coarsen;
 pub mod initial;

@@ -1,4 +1,20 @@
 //! Boundary FM refinement (k-way, with move sequences and rollback).
+//!
+//! **Bounded passes.** A pass ends early once `max(1000, n / 20)`
+//! consecutive applied moves have not improved on its best prefix, as
+//! MeTiS's FM does (Karypis & Kumar, 1998), and rolls back to that
+//! prefix exactly as an unbounded pass would. Without the bound, a pass
+//! on a level that has already converged moves every vertex once, keeps
+//! none of the moves and undoes them all: on the ~275k-node FUN3D mesh
+//! that was most of the partitioner's time. The bound is a heuristic —
+//! a long run of moves that never beats the best prefix seldom ends in
+//! a better one — and it is safe in the sense that matters here: the
+//! kept prefix is still the best one seen, a pass that keeps nothing
+//! still ends refinement at its level, and the partitions of the
+//! benchmark and figure meshes are bit-identical to those of unbounded
+//! passes (pinned by `tests/golden.rs`). A flat bound of 1000 is not:
+//! it changes the k=8 cut of the 275k-node mesh and the k=32 cut of
+//! the `fig7` mesh.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -23,14 +39,60 @@ impl Default for RefineParams {
     }
 }
 
+/// A pass ends after this many consecutive applied moves that did not
+/// improve on its best prefix (see the module doc).
+fn stall_limit(n: usize) -> usize {
+    (n / 20).max(1000)
+}
+
+/// Add `v`'s edge weight to each adjacent part into `conn` and list the
+/// parts it touched, in first-touch order, in `touched`. The caller
+/// zeroes `conn` at `touched` once it has read the sums.
+fn connect(g: &WGraph, part: &[u32], conn: &mut [i64], touched: &mut Vec<usize>, v: usize) {
+    touched.clear();
+    for e in g.nbr_range(v) {
+        let p = part[g.adjncy[e] as usize] as usize;
+        if conn[p] == 0 {
+            touched.push(p);
+        }
+        conn[p] += g.adjwgt[e] as i64;
+    }
+}
+
+/// Best available gain of `v` over adjacent foreign parts, ignoring
+/// weight limits (rechecked at pop time).
+fn best_gain(
+    g: &WGraph,
+    part: &[u32],
+    conn: &mut [i64],
+    touched: &mut Vec<usize>,
+    v: usize,
+) -> Option<i64> {
+    connect(g, part, conn, touched, v);
+    let home = part[v] as usize;
+    let internal = conn[home];
+    let mut best: Option<i64> = None;
+    for &p in touched.iter() {
+        if p != home {
+            let gain = conn[p] - internal;
+            if best.is_none_or(|b| gain > b) {
+                best = Some(gain);
+            }
+        }
+        conn[p] = 0;
+    }
+    best
+}
+
 /// Fiduccia–Mattheyses-style refinement. Each pass builds a *sequence*
 /// of single-vertex moves (every vertex moves at most once per pass):
 /// the best-gain legal move is applied even when its gain is zero or
 /// negative, letting the pass climb out of local minima, and the pass
-/// then rolls back to the best prefix it saw. During the sequence a
-/// part may exceed the balance cap by one vertex of slack; prefixes are
-/// ranked feasible-first, so the kept state respects the cap whenever
-/// the initial state did.
+/// then rolls back to the best prefix it saw. A pass also stops after a
+/// long run of moves that never beat that prefix (see the module doc).
+/// During the sequence a part may exceed the balance cap by one vertex
+/// of slack; prefixes are ranked feasible-first, so the kept state
+/// respects the cap whenever the initial state did.
 pub fn refine(g: &WGraph, part: &mut [u32], nparts: usize, params: RefineParams) {
     let n = g.n();
     if n == 0 || nparts < 2 {
@@ -42,6 +104,7 @@ pub fn refine(g: &WGraph, part: &mut [u32], nparts: usize, params: RefineParams)
     let target = total.div_ceil(nparts as u64);
     let max_weight = (((total as f64 / nparts as f64) * params.max_imbalance) as u64).max(target);
     let slack = g.vwgt.iter().copied().max().unwrap_or(0);
+    let stall = stall_limit(n);
 
     let mut part_weight = vec![0u64; nparts];
     for v in 0..n {
@@ -52,42 +115,14 @@ pub fn refine(g: &WGraph, part: &mut [u32], nparts: usize, params: RefineParams)
     // Per-vertex entry versions for lazy heap invalidation.
     let mut version = vec![0u64; n];
     let mut conn = vec![0i64; nparts];
+    let mut touched: Vec<usize> = Vec::with_capacity(nparts);
 
     for _ in 0..params.passes {
         let mut moved = vec![false; n];
         // Heap of candidate moves: (gain, vertex, entry version).
         let mut heap: BinaryHeap<(i64, Reverse<usize>, u64)> = BinaryHeap::new();
-
-        // Best available gain of v over adjacent foreign parts, ignoring
-        // weight limits (rechecked at pop time).
-        fn best_gain(g: &WGraph, part: &[u32], conn: &mut [i64], v: usize) -> Option<i64> {
-            let home = part[v] as usize;
-            let mut touched: Vec<usize> = Vec::with_capacity(8);
-            for e in g.nbr_range(v) {
-                let p = part[g.adjncy[e] as usize] as usize;
-                if conn[p] == 0 {
-                    touched.push(p);
-                }
-                conn[p] += g.adjwgt[e] as i64;
-            }
-            let internal = conn[home];
-            let mut best: Option<i64> = None;
-            for &p in &touched {
-                if p != home {
-                    let gain = conn[p] - internal;
-                    if best.is_none_or(|b| gain > b) {
-                        best = Some(gain);
-                    }
-                }
-            }
-            for &p in &touched {
-                conn[p] = 0;
-            }
-            best
-        }
-
-        for (v, &ver) in version.iter().enumerate().take(n) {
-            if let Some(gain) = best_gain(g, part, &mut conn, v) {
+        for (v, &ver) in version.iter().enumerate() {
+            if let Some(gain) = best_gain(g, part, &mut conn, &mut touched, v) {
                 heap.push((gain, Reverse(v), ver));
             }
         }
@@ -107,14 +142,7 @@ pub fn refine(g: &WGraph, part: &mut [u32], nparts: usize, params: RefineParams)
             }
             // Recompute the best target for v under current weights.
             let home = part[v] as usize;
-            let mut touched: Vec<usize> = Vec::with_capacity(8);
-            for e in g.nbr_range(v) {
-                let p = part[g.adjncy[e] as usize] as usize;
-                if conn[p] == 0 {
-                    touched.push(p);
-                }
-                conn[p] += g.adjwgt[e] as i64;
-            }
+            connect(g, part, &mut conn, &mut touched, v);
             let internal = conn[home];
             let mut best: Option<(i64, u64, usize)> = None; // (gain, lighter-first, part)
             for &p in &touched {
@@ -142,6 +170,8 @@ pub fn refine(g: &WGraph, part: &mut [u32], nparts: usize, params: RefineParams)
             if key > best_key {
                 best_key = key;
                 best_prefix = history.len();
+            } else if history.len() - best_prefix >= stall {
+                break; // a long run of moves that never beat the best prefix
             }
             // Refresh candidates around v.
             version[v] += 1;
@@ -149,7 +179,7 @@ pub fn refine(g: &WGraph, part: &mut [u32], nparts: usize, params: RefineParams)
                 let u = g.adjncy[e] as usize;
                 if !moved[u] {
                     version[u] += 1;
-                    if let Some(gain) = best_gain(g, part, &mut conn, u) {
+                    if let Some(gain) = best_gain(g, part, &mut conn, &mut touched, u) {
                         heap.push((gain, Reverse(u), version[u]));
                     }
                 }
