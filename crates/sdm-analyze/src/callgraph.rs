@@ -581,8 +581,8 @@ pub struct FnNode {
     pub is_test: bool,
     /// `&mut Catalog` appears in the signature (not `&mut self`).
     pub has_mut_catalog: bool,
-    /// `UndoLog` appears in the signature.
-    pub has_undo: bool,
+    /// `ChangeLog` appears in the signature.
+    pub has_change_log: bool,
     /// Body events, in source order; empty for test fns and bodyless
     /// declarations.
     pub events: Vec<Event>,
@@ -623,9 +623,9 @@ impl Callgraph {
                         && matches!(&w[1].tok, Tok::Ident(m) if m == "mut")
                         && matches!(&w[2].tok, Tok::Ident(c) if c == "Catalog")
                 });
-                let has_undo = sig
+                let has_change_log = sig
                     .iter()
-                    .any(|t| matches!(&t.tok, Tok::Ident(u) if u == "UndoLog"));
+                    .any(|t| matches!(&t.tok, Tok::Ident(u) if u == "ChangeLog"));
                 let mut events = Vec::new();
                 if !f.is_test {
                     if let Some((start, end)) = f.body {
@@ -639,7 +639,7 @@ impl Callgraph {
                     line: f.line,
                     is_test: f.is_test,
                     has_mut_catalog,
-                    has_undo,
+                    has_change_log,
                     events,
                 });
             }
@@ -953,7 +953,7 @@ mod tests {
     fn arg_acquisitions_are_recorded() {
         let (_m, cg) = graph(&[(
             "crates/a/src/db.rs",
-            "impl Db { fn f(&mut self) { state.undo.rollback(&mut self.catalog.write()); } }",
+            "impl Db { fn f(&mut self) { state.changes.rollback(&mut self.catalog.write()); } }",
         )]);
         let f = find(&cg, "f");
         let call = f

@@ -24,8 +24,8 @@
 //!   fsyncs under `wal_sync` by design, and that is the *only* sanctioned
 //!   blocking-under-lock path;
 //! * **path-sensitive `undo-coverage`** — a `&mut Catalog` fn reachable
-//!   from an exec entry point without `Option<&mut UndoLog>` in its own
-//!   signature (the undo thread broke somewhere along the chain);
+//!   from an exec entry point without `&mut ChangeLog` in its own
+//!   signature (the change-log thread broke somewhere along the chain);
 //! * **`panic-under-guard`** — a panic site (`.unwrap()`,
 //!   `.expect("…")`, panicking macros, indexing) reachable while the
 //!   `catalog` write guard is held: the panic unwinds mid-mutation and
@@ -550,15 +550,18 @@ fn held_io_message(what: &str, h: &Held) -> String {
     )
 }
 
-/// Path-sensitive undo coverage: BFS from the exec entry points (fns in
-/// `exec.rs` that thread both `&mut Catalog` and `UndoLog`); any
-/// reachable fn taking `&mut Catalog` without `UndoLog` broke the
+/// Path-sensitive change-log coverage: BFS from the exec entry points
+/// (fns in `exec.rs` that thread both `&mut Catalog` and `ChangeLog`);
+/// any reachable fn taking `&mut Catalog` without `ChangeLog` broke the
 /// thread, wherever it lives.
 fn undo_paths(cg: &Callgraph, files: &[(String, Model)], findings: &mut Vec<Finding>) {
     let entries: Vec<usize> = (0..cg.fns.len())
         .filter(|&i| {
             let f = &cg.fns[i];
-            !f.is_test && f.has_undo && f.has_mut_catalog && cg.files[f.file].ends_with("exec.rs")
+            !f.is_test
+                && f.has_change_log
+                && f.has_mut_catalog
+                && cg.files[f.file].ends_with("exec.rs")
         })
         .collect();
     let in_exec = |i: usize| cg.files[cg.fns[i].file].ends_with("exec.rs");
@@ -586,7 +589,7 @@ fn undo_paths(cg: &Callgraph, files: &[(String, Model)], findings: &mut Vec<Find
         .copied()
         .filter(|&i| {
             let f = &cg.fns[i];
-            !f.is_test && f.has_mut_catalog && !f.has_undo && !in_exec(i)
+            !f.is_test && f.has_mut_catalog && !f.has_change_log && !in_exec(i)
         })
         .collect();
     flagged.sort();
@@ -612,7 +615,7 @@ fn undo_paths(cg: &Callgraph, files: &[(String, Model)], findings: &mut Vec<Find
             line: f.line,
             snippet: files[f.file].1.snippet(f.line),
             message: format!(
-                "`{}` takes `&mut Catalog` without threading `Option<&mut UndoLog>` yet is \
+                "`{}` takes `&mut Catalog` without threading `&mut ChangeLog` yet is \
                  reachable from exec entry `{entry_name}`: mutations on this path cannot be \
                  rolled back by an open transaction",
                 f.name
@@ -742,7 +745,7 @@ mod tests {
 
     #[test]
     fn undo_break_is_found_across_files_with_chain() {
-        let exec = "pub fn execute_mutation(c: &mut Catalog, u: Option<&mut UndoLog>) {\n\
+        let exec = "pub fn execute_mutation(c: &mut Catalog, log: &mut ChangeLog) {\n\
                     table::apply(c);\n\
                     }";
         let table = "pub fn apply(c: &mut Catalog) {}";
@@ -766,7 +769,7 @@ mod tests {
         let engine = "impl Db { fn w(&self, c: C) { let g = self.catalog.write(); rows[0]; } }";
         let (findings, _s, _cg) = analyze(&[("crates/sdm-metadb/src/exec.rs", engine)]);
         assert!(findings.iter().all(|f| f.rule != "panic-under-guard"));
-        let (findings2, _s, _cg) = analyze(&[("crates/sdm-metadb/src/undo.rs", engine)]);
+        let (findings2, _s, _cg) = analyze(&[("crates/sdm-metadb/src/change.rs", engine)]);
         assert!(findings2.iter().any(|f| f.rule == "panic-under-guard"));
     }
 }

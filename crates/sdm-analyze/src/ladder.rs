@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn downward_into_catalog_while_tx_held_passes() {
         assert!(run("let mut tx = self.tx.lock(); \
-                     let n = state.undo.rollback(&mut self.catalog.write()); \
+                     let n = state.changes.rollback(&mut self.catalog.write()); \
                      drop(tx);")
         .is_empty());
     }

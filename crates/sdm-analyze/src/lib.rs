@@ -29,8 +29,8 @@
 //!   lock is held (the WAL group-commit leader path is the sanctioned
 //!   exception).
 //! * **`undo-coverage`** — intra: executor fns taking `&mut Catalog`
-//!   must thread `Option<&mut UndoLog>`; inter: any such fn reachable
-//!   from an exec entry point without undo threaded the whole way.
+//!   must thread `&mut ChangeLog`; inter: any such fn reachable from an
+//!   exec entry point without the change log threaded the whole way.
 //! * **`panic-under-guard`** — a panic site reachable while the
 //!   `catalog` write guard is held.
 //! * **`unused-allow`** — a suppression directive that suppressed

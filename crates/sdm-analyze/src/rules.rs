@@ -1,5 +1,5 @@
 //! Architecture rules: SQL layering, deprecated-veneer opt-ins,
-//! `unwrap`/`expect` on library hot paths, and undo-log coverage.
+//! `unwrap`/`expect` on library hot paths, and change-log coverage.
 //!
 //! Each rule is scoped by repo-relative path (forward slashes). Rule ids
 //! are the ones `analyze:allow(id: reason)` suppresses and DESIGN.md
@@ -193,9 +193,9 @@ pub fn unwrap_rule(path: &str, model: &Model) -> Vec<Finding> {
 // -------------------------------------------------------------- undo-coverage
 
 /// Rule `undo-coverage`: every non-test function in the executor that
-/// takes `&mut Catalog` must also thread `Option<&mut UndoLog>` — a
-/// mutation path that cannot log undo is a mutation a transaction
-/// cannot roll back.
+/// takes `&mut Catalog` must also thread `&mut ChangeLog` — a mutation
+/// path that cannot log its changes is a mutation a transaction cannot
+/// roll back and the WAL never sees.
 pub fn undo_coverage(path: &str, model: &Model) -> Vec<Finding> {
     if !path.ends_with("sdm-metadb/src/exec.rs") {
         return Vec::new();
@@ -211,17 +211,17 @@ pub fn undo_coverage(path: &str, model: &Model) -> Vec<Finding> {
                 && matches!(&w[1].tok, Tok::Ident(m) if m == "mut")
                 && matches!(&w[2].tok, Tok::Ident(c) if c == "Catalog")
         });
-        let threads_undo = sig
+        let threads_log = sig
             .iter()
-            .any(|t| matches!(&t.tok, Tok::Ident(u) if u == "UndoLog"));
-        if takes_mut_catalog && !threads_undo {
+            .any(|t| matches!(&t.tok, Tok::Ident(u) if u == "ChangeLog"));
+        if takes_mut_catalog && !threads_log {
             findings.push(Finding {
                 rule: "undo-coverage".into(),
                 file: path.to_string(),
                 line: f.line,
                 snippet: model.snippet(f.line),
                 message: format!(
-                    "`{}` takes `&mut Catalog` without threading `Option<&mut UndoLog>`: its \
+                    "`{}` takes `&mut Catalog` without threading `&mut ChangeLog`: its \
                      mutations cannot be rolled back by an open transaction",
                     f.name
                 ),
@@ -479,11 +479,11 @@ mod tests {
     #[test]
     fn undo_coverage_flags_missing_param() {
         let src = "fn mutate(c: &mut Catalog) {}\n\
-                   fn good(c: &mut Catalog, undo: Option<&mut UndoLog>) {}\n\
+                   fn good(c: &mut Catalog, log: &mut ChangeLog) {}\n\
                    fn read(c: &Catalog) {}";
         let f = findings("crates/sdm-metadb/src/exec.rs", src);
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("mutate"));
-        assert!(findings("crates/sdm-metadb/src/undo.rs", src).is_empty());
+        assert!(findings("crates/sdm-metadb/src/change.rs", src).is_empty());
     }
 }

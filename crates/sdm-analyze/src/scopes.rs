@@ -478,7 +478,7 @@ mod tests {
 
     #[test]
     fn sig_range_covers_params() {
-        let m = Model::build("fn f(c: &mut Catalog, u: Option<&mut UndoLog>) -> i32 { 0 }");
+        let m = Model::build("fn f(c: &mut Catalog, log: &mut ChangeLog) -> i32 { 0 }");
         let f = &m.fns[0];
         let words: Vec<_> = m.tokens[f.sig.0..f.sig.1]
             .iter()
@@ -488,6 +488,6 @@ mod tests {
             })
             .collect();
         assert!(words.contains(&"Catalog"));
-        assert!(words.contains(&"UndoLog"));
+        assert!(words.contains(&"ChangeLog"));
     }
 }

@@ -108,8 +108,7 @@ fn undo_coverage_bad_signature_is_flagged() {
 
 #[test]
 fn undo_coverage_good_signature_passes() {
-    let src =
-        "pub fn apply(catalog: &mut Catalog, stmt: &Statement, undo: Option<&mut UndoLog>) {}";
+    let src = "pub fn apply(catalog: &mut Catalog, stmt: &Statement, log: &mut ChangeLog) {}";
     assert!(rules_hit("crates/sdm-metadb/src/exec.rs", src).is_empty());
 }
 
@@ -285,7 +284,7 @@ fn panic_under_guard_good_read_guard_passes() {
 
 #[test]
 fn undo_coverage_bad_unthreaded_mutator_across_files_is_flagged() {
-    let exec = "pub fn apply_batch(catalog: &mut Catalog, undo: Option<&mut UndoLog>) {\n\
+    let exec = "pub fn apply_batch(catalog: &mut Catalog, log: &mut ChangeLog) {\n\
                 rows::mutate_rows(catalog);\n\
                 }";
     let rows = "pub fn mutate_rows(catalog: &mut Catalog) {}";
@@ -301,10 +300,10 @@ fn undo_coverage_bad_unthreaded_mutator_across_files_is_flagged() {
 
 #[test]
 fn undo_coverage_good_undo_threaded_all_the_way_passes() {
-    let exec = "pub fn apply_batch(catalog: &mut Catalog, undo: Option<&mut UndoLog>) {\n\
-                rows::mutate_rows(catalog, undo);\n\
+    let exec = "pub fn apply_batch(catalog: &mut Catalog, log: &mut ChangeLog) {\n\
+                rows::mutate_rows(catalog, log);\n\
                 }";
-    let rows = "pub fn mutate_rows(catalog: &mut Catalog, undo: Option<&mut UndoLog>) {}";
+    let rows = "pub fn mutate_rows(catalog: &mut Catalog, log: &mut ChangeLog) {}";
     let report = analyze_sources(&[
         ("crates/sdm-metadb/src/exec.rs".into(), exec.into()),
         ("crates/sdm-metadb/src/rows.rs".into(), rows.into()),

@@ -7,7 +7,6 @@ use serde::{Deserialize, Serialize};
 use crate::error::{DbError, DbResult};
 use crate::schema::Schema;
 use crate::table::Table;
-use crate::wal::record::Replay;
 
 /// All tables of one database, keyed by lower-cased name.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
@@ -26,8 +25,8 @@ impl Catalog {
     }
 
     /// Create a table; errors if it exists (unless `if_not_exists`).
-    /// Returns whether a table was actually created (so transaction
-    /// undo only logs real creations).
+    /// Returns whether a table was actually created (so the change log
+    /// only records real creations).
     pub fn create_table(
         &mut self,
         name: &str,
@@ -45,20 +44,14 @@ impl Catalog {
         Ok(true)
     }
 
-    /// Drop a table.
-    pub fn drop_table(&mut self, name: &str) -> DbResult<()> {
-        self.remove_table(name).map(|_| ())
-    }
-
-    /// Drop a table, returning it (transaction undo keeps it for
-    /// replay).
-    pub(crate) fn remove_table(&mut self, name: &str) -> DbResult<Table> {
+    /// Drop a table, returning it (the change log keeps it for undo).
+    pub fn drop_table(&mut self, name: &str) -> DbResult<Table> {
         self.tables
             .remove(&Self::key(name))
             .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
     }
 
-    /// Re-instate a table wholesale (transaction undo of `DROP TABLE`).
+    /// Re-instate a table wholesale (undo of `DROP TABLE`).
     pub(crate) fn put_table(&mut self, name: &str, table: Table) {
         self.tables.insert(Self::key(name), table);
     }
@@ -93,52 +86,6 @@ impl Catalog {
     /// Sorted table names.
     pub fn table_names(&self) -> Vec<String> {
         self.tables.keys().cloned().collect()
-    }
-
-    /// Apply one decoded WAL redo record (crash recovery). Replay is
-    /// positional and deterministic — the log was written by the same
-    /// executor that produced the state being reconstructed, so every
-    /// position and name is expected to resolve; a failure here means a
-    /// corrupt-but-CRC-valid log and surfaces as an open error.
-    pub(crate) fn apply_redo(&mut self, rec: Replay) -> DbResult<()> {
-        match rec {
-            Replay::Append { table, rows } => {
-                let t = self.get_mut(&table)?;
-                for row in rows {
-                    t.insert(row)?;
-                }
-            }
-            Replay::Update { table, news } => {
-                self.get_mut(&table)?.apply_updates(news);
-            }
-            Replay::Delete { table, positions } => {
-                self.get_mut(&table)?.delete_at(&positions);
-            }
-            Replay::Clear { table } => {
-                self.get_mut(&table)?.clear();
-            }
-            Replay::CreateTable { name, schema } => {
-                self.create_table(&name, schema, false)?;
-            }
-            Replay::DropTable { name } => {
-                self.drop_table(&name)?;
-            }
-            Replay::CreateIndex {
-                table,
-                index,
-                columns,
-            } => {
-                let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
-                self.get_mut(&table)?.create_index(&index, &cols)?;
-            }
-            Replay::DropIndex { table, index } => {
-                self.get_mut(&table)?.drop_index(&index)?;
-            }
-            // Terminators are handled by the recovery loop; they never
-            // reach the catalog.
-            Replay::Commit | Replay::Abort => {}
-        }
-        Ok(())
     }
 }
 

@@ -1,23 +1,31 @@
-//! Per-transaction undo logging.
+//! The mutation record: what a statement changed.
 //!
-//! A transaction no longer snapshots the catalog at `BEGIN`. Instead,
-//! every mutation executed while the owning thread's transaction is open
-//! appends a row-level undo record; `COMMIT` discards the log and
-//! `ROLLBACK` replays it in reverse. Transaction cost is therefore
-//! proportional to the rows the transaction *touched*, never to the
-//! database's size — a `BEGIN`/`COMMIT` around one insert into a
-//! million-row catalog logs exactly one record.
+//! Every mutation the executor applies pushes one `Change` onto a
+//! [`ChangeLog`]: what the statement did plus the data it displaced
+//! (old row images, dropped tables), captured by move on the mutation
+//! path — logging an UPDATE is a `mem::replace`, not a clone. Only
+//! changes that happened are logged, including the rows a statement
+//! that then failed did apply.
 //!
-//! Undo records own the displaced data (old row images, dropped tables),
-//! captured by move on the mutation path — logging an UPDATE's undo is a
-//! `mem::replace`, not a clone.
+//! The one record drives both logs:
+//!
+//! * **forward**, the `Database` encodes each statement's records into
+//!   WAL frames (`WalAppender::change`), borrowing the post-images from
+//!   the catalog the statement left;
+//! * **backward**, the records move onto the owning transaction's log;
+//!   `COMMIT` discards it and `ROLLBACK` replays it in reverse.
+//!
+//! Transaction cost is therefore proportional to the rows the
+//! transaction *touched*, never to the database's size — a
+//! `BEGIN`/`COMMIT` around one insert into a million-row catalog logs
+//! exactly one record.
 
 use crate::catalog::Catalog;
 use crate::table::{IndexDef, Row, Table};
 
-/// One reversible effect of a mutation statement.
+/// One applied effect of a mutation statement.
 #[derive(Debug)]
-pub(crate) enum UndoRecord {
+pub(crate) enum Change {
     /// `n` rows were appended to `table` (INSERT).
     Append {
         /// Target table.
@@ -69,30 +77,33 @@ pub(crate) enum UndoRecord {
     },
 }
 
-/// The ordered undo log of one open transaction.
+/// An ordered log of applied changes: one statement's, or one open
+/// transaction's.
 #[derive(Debug, Default)]
-pub struct UndoLog {
-    records: Vec<UndoRecord>,
+pub struct ChangeLog {
+    records: Vec<Change>,
 }
 
-impl UndoLog {
+impl ChangeLog {
     /// Append one record (called by the executor under the catalog
     /// write lock).
-    pub(crate) fn push(&mut self, rec: UndoRecord) {
+    pub(crate) fn push(&mut self, rec: Change) {
         self.records.push(rec);
     }
 
-    /// Number of row images currently logged (diagnostics/tests).
-    pub fn rows_logged(&self) -> u64 {
-        self.records
-            .iter()
-            .map(|r| match r {
-                UndoRecord::Append { n, .. } => *n as u64,
-                UndoRecord::Delete { removed, .. } => removed.len() as u64,
-                UndoRecord::Update { old, .. } => old.len() as u64,
-                _ => 0,
-            })
-            .sum()
+    /// Move every record of `other` onto the end of this log.
+    pub(crate) fn append(&mut self, mut other: ChangeLog) {
+        self.records.append(&mut other.records);
+    }
+
+    /// The records, oldest first.
+    pub(crate) fn records(&self) -> &[Change] {
+        &self.records
+    }
+
+    /// Whether nothing was logged.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
     }
 
     /// Replay the log in reverse against `catalog`, restoring the
@@ -108,7 +119,7 @@ impl UndoLog {
         let mut rows_undone = 0u64;
         for rec in self.records.into_iter().rev() {
             match rec {
-                UndoRecord::Append { table, n } => {
+                Change::Append { table, n } => {
                     rows_undone += n as u64;
                     catalog
                         .get_mut(&table)
@@ -116,7 +127,7 @@ impl UndoLog {
                         .expect("undo: appended-into table exists")
                         .undo_append(n);
                 }
-                UndoRecord::Delete { table, removed } => {
+                Change::Delete { table, removed } => {
                     rows_undone += removed.len() as u64;
                     catalog
                         .get_mut(&table)
@@ -124,7 +135,7 @@ impl UndoLog {
                         .expect("undo: deleted-from table exists")
                         .insert_at(removed);
                 }
-                UndoRecord::Update { table, old } => {
+                Change::Update { table, old } => {
                     rows_undone += old.len() as u64;
                     catalog
                         .get_mut(&table)
@@ -132,16 +143,16 @@ impl UndoLog {
                         .expect("undo: updated table exists")
                         .apply_updates(old);
                 }
-                UndoRecord::CreateTable { name } => {
+                Change::CreateTable { name } => {
                     catalog
                         .drop_table(&name)
                         // analyze:allow(unwrap: the logged CREATE TABLE succeeded and reverse replay undid later drops)
                         .expect("undo: created table exists");
                 }
-                UndoRecord::DropTable { name, table } => {
+                Change::DropTable { name, table } => {
                     catalog.put_table(&name, *table);
                 }
-                UndoRecord::CreateIndex { table, index } => {
+                Change::CreateIndex { table, index } => {
                     catalog
                         .get_mut(&table)
                         // analyze:allow(unwrap: reverse replay re-instates any table dropped after this record was logged)
@@ -150,7 +161,7 @@ impl UndoLog {
                         // analyze:allow(unwrap: the logged CREATE INDEX succeeded and reverse replay undid later drops)
                         .expect("undo: created index exists");
                 }
-                UndoRecord::DropIndex { table, def } => {
+                Change::DropIndex { table, def } => {
                     let cols: Vec<&str> = def.columns.iter().map(String::as_str).collect();
                     catalog
                         .get_mut(&table)

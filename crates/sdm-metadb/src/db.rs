@@ -6,13 +6,13 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use crate::catalog::Catalog;
+use crate::change::ChangeLog;
 use crate::error::{DbError, DbResult};
 use crate::eval::PlanCell;
 use crate::exec::{execute_mutation, execute_read, DbStats, Outcome};
 use crate::sql::ast::Statement;
 use crate::sql::parse;
 use crate::table::Row;
-use crate::undo::UndoLog;
 use crate::value::Value;
 use crate::wal::record::WalAppender;
 use crate::wal::storage::{FileStorage, WalStorage};
@@ -241,28 +241,32 @@ impl Default for Database {
     }
 }
 
-/// An open transaction: its undo log plus the thread that owns it (the
-/// owner's own writes pass the table lock and log undo; everyone
-/// else's wait).
+/// An open transaction: its change log plus the thread that owns it
+/// (the owner's own writes pass the table lock and join the log;
+/// everyone else's wait). An empty log means a read-only transaction,
+/// which skips the commit frame and its fsync.
 #[derive(Debug)]
 struct TxState {
-    undo: UndoLog,
+    changes: ChangeLog,
     owner: std::thread::ThreadId,
     /// WAL transaction id (`None` on in-memory databases).
     txid: Option<u64>,
-    /// Whether any redo record was appended under this transaction —
-    /// read-only transactions skip the commit frame and its fsync.
-    logged: bool,
 }
 
 impl TxState {
     fn open(wal: Option<&Wal>) -> Self {
         Self {
-            undo: UndoLog::default(),
+            changes: ChangeLog::default(),
             owner: std::thread::current().id(),
             txid: wal.map(Wal::begin_tx),
-            logged: false,
         }
+    }
+
+    /// The id a COMMIT/ABORT frame must carry, or `None` when no frame
+    /// is due: the database is in-memory, or the transaction logged
+    /// nothing.
+    fn terminator_txid(&self) -> Option<u64> {
+        self.txid.filter(|_| !self.changes.is_empty())
     }
 }
 
@@ -430,7 +434,7 @@ impl Database {
                 if tx.is_some() {
                     return Err(DbError::Tx("transaction already open".into()));
                 }
-                // O(1): an empty undo log, never a catalog clone.
+                // O(1): an empty change log, never a catalog clone.
                 *tx = Some(TxState::open(self.wal.as_ref()));
                 Ok(ResultSet::default())
             }
@@ -453,18 +457,14 @@ impl Database {
                 // lets a group-commit leader batch several committers
                 // into one fsync. Read-only transactions skip both.
                 let mut commit_lsn = None;
-                if let (Some(wal), Some(state)) = (&self.wal, tx.as_ref()) {
-                    if state.logged {
-                        if let Some(txid) = state.txid {
-                            let mut app = WalAppender::new(txid);
-                            app.commit();
-                            let lsn = wal.append_bytes(&app.into_buf(), 1);
-                            wal.note_committed(txid);
-                            commit_lsn = Some(lsn);
-                        }
-                    }
+                let txid = tx.as_ref().and_then(TxState::terminator_txid);
+                if let (Some(wal), Some(txid)) = (&self.wal, txid) {
+                    let mut app = WalAppender::new(txid);
+                    app.commit();
+                    commit_lsn = Some(wal.append_bytes(&app.into_buf(), 1));
+                    wal.note_committed(txid);
                 }
-                *tx = None; // the undo log is simply discarded
+                *tx = None; // the change log is simply discarded
                 self.tx_freed.notify_all();
                 drop(tx);
                 let mut local = DbStats {
@@ -501,17 +501,13 @@ impl Database {
                 // Append the ABORT frame (no fsync: recovery discards
                 // unterminated transactions anyway, the frame just lets
                 // it stop buffering them early).
-                if let Some(wal) = &self.wal {
-                    if state.logged {
-                        if let Some(txid) = state.txid {
-                            let mut app = WalAppender::new(txid);
-                            app.abort();
-                            wal.append_bytes(&app.into_buf(), 0);
-                        }
-                    }
+                if let (Some(wal), Some(txid)) = (&self.wal, state.terminator_txid()) {
+                    let mut app = WalAppender::new(txid);
+                    app.abort();
+                    wal.append_bytes(&app.into_buf(), 0);
                 }
-                // Replay the undo log in reverse: O(rows touched).
-                let rows_undone = state.undo.rollback(&mut self.catalog.write());
+                // Replay the change log in reverse: O(rows touched).
+                let rows_undone = state.changes.rollback(&mut self.catalog.write());
                 self.tx_freed.notify_all();
                 drop(tx);
                 self.stats.lock().tx_rows_undone += rows_undone;
@@ -523,65 +519,62 @@ impl Database {
                 // close, so a ROLLBACK can never discard a foreign
                 // committed write. The guard is held across execution
                 // so a BEGIN cannot slip in mid-statement either — and
-                // it is also where the owner's undo log lives.
+                // it is also where the owner's change log lives.
                 let mut clearance = self.write_clearance();
                 let me = std::thread::current().id();
-                let own_tx = matches!(&*clearance, Some(state) if state.owner == me);
-                // Durable databases capture redo into a per-statement
-                // appender: under an owned transaction it joins that
-                // transaction's id, otherwise the statement autocommits
-                // under a fresh one.
-                let mut wal_app = self.wal.as_ref().map(|wal| {
-                    let txid = clearance
-                        .as_ref()
-                        .filter(|_| own_tx)
-                        .and_then(|state| state.txid);
-                    WalAppender::new(txid.unwrap_or_else(|| wal.begin_tx()))
-                });
-                let undo = clearance
-                    .as_mut()
-                    .filter(|state| state.owner == me)
-                    .map(|state| &mut state.undo);
+                let own_tx = clearance.as_mut().filter(|state| state.owner == me);
                 let mut catalog = self.catalog.write();
                 let mut local = DbStats::default();
+                let mut changes = ChangeLog::default();
                 let result = execute_mutation(
                     &mut catalog,
                     stmt,
                     params,
                     &mut local,
-                    undo,
-                    wal_app.as_mut(),
+                    &mut changes,
                     Some(cell),
                 );
-                drop(catalog);
-                // Hand the captured frames to the shared log while the
-                // clearance guard still excludes other writers, so
-                // frames of different transactions never interleave.
-                // This happens even when the statement *failed*: its
-                // partial effects (a mid-batch INSERT error) are live in
-                // memory and later records' positions build on them, so
-                // recovery must replay them too.
-                let mut sync_lsn = None;
-                if let (Some(wal), Some(app)) = (&self.wal, wal_app) {
-                    if app.records() > 0 {
-                        local.wal_appends += app.records();
-                        if own_tx {
-                            // In-transaction: buffered only; durability
-                            // comes with the COMMIT frame's fsync.
-                            wal.append_bytes(&app.into_buf(), 0);
-                            if let Some(state) = clearance.as_mut() {
-                                state.logged = true;
-                            }
-                        } else {
-                            let mut app = app;
-                            let txid = app.txid();
-                            app.commit();
-                            local.wal_appends += 1;
-                            let lsn = wal.append_bytes(&app.into_buf(), 1);
-                            wal.note_committed(txid);
-                            sync_lsn = Some(lsn);
+                // Log what applied — even when the statement *failed*:
+                // its partial effects (a mid-batch INSERT error) are
+                // live in memory and later records' positions build on
+                // them, so recovery must replay them too. Encoding
+                // borrows the post-images from the catalog, so it runs
+                // before the write guard drops. Under an owned
+                // transaction the frames join its id; otherwise the
+                // statement autocommits under a fresh one.
+                let frames = match &self.wal {
+                    Some(wal) if !changes.is_empty() => {
+                        let txid = own_tx.as_ref().and_then(|state| state.txid);
+                        let mut app = WalAppender::new(txid.unwrap_or_else(|| wal.begin_tx()));
+                        for change in changes.records() {
+                            app.change(change, &catalog);
                         }
+                        Some(app)
                     }
+                    _ => None,
+                };
+                drop(catalog);
+                // Hand the frames to the shared log while the clearance
+                // guard still excludes other writers, so frames of
+                // different transactions never interleave.
+                let mut sync_lsn = None;
+                if let (Some(wal), Some(mut app)) = (&self.wal, frames) {
+                    local.wal_appends += app.records();
+                    if own_tx.is_some() {
+                        // In-transaction: buffered only; durability
+                        // comes with the COMMIT frame's fsync.
+                        wal.append_bytes(&app.into_buf(), 0);
+                    } else {
+                        let txid = app.txid();
+                        app.commit();
+                        local.wal_appends += 1;
+                        sync_lsn = Some(wal.append_bytes(&app.into_buf(), 1));
+                        wal.note_committed(txid);
+                    }
+                }
+                // The records move onto the owner's log for ROLLBACK.
+                if let Some(state) = own_tx {
+                    state.changes.append(changes);
                 }
                 drop(clearance);
                 // Autocommit durability: fsync (or join a leader's
@@ -595,13 +588,10 @@ impl Database {
                     local.group_commit_batched += batched;
                 }
                 self.stats.lock().merge(&local);
-                let result = match sync_result {
-                    // A durability failure trumps a successful statement
-                    // — but never masks the statement's own error.
-                    Err(e) => result.and(Err(e)),
-                    Ok(_) => result,
-                };
-                Self::outcome_to_set(result)
+                // A durability failure trumps the statement's own
+                // result, error included: whatever it applied — all of
+                // it, or the rows before a failing one — is not durable.
+                Self::outcome_to_set(sync_result.and(result))
             }
             stmt => {
                 // SELECTs execute under the shared catalog lock:
@@ -1287,6 +1277,21 @@ mod tests {
         // refused — durability can no longer be promised.
         assert_eq!(dump(&db, "t").len(), 1);
         assert!(db.exec("INSERT INTO t VALUES (2)", &[]).is_err());
+    }
+
+    #[test]
+    fn sync_failure_outranks_a_partial_statements_own_error() {
+        let (storage, h) = MemStorage::new();
+        let db = Database::open_with_storage(Box::new(storage)).unwrap();
+        db.exec("CREATE TABLE t (a INT)", &[]).unwrap();
+        let synced = db.stats().wal_fsyncs;
+        h.set_faults(WalFaults::none().fail_sync_after(synced));
+        // The first row lands, the second is a type error, and the
+        // commit of the first row cannot be made durable: the caller
+        // must hear about the lost durability, not just the bad row.
+        let err = db.exec("INSERT INTO t VALUES (1), ('x')", &[]).unwrap_err();
+        assert!(matches!(err, DbError::Persist(_)), "{err}");
+        assert_eq!(dump(&db, "t").len(), 1);
     }
 
     #[test]

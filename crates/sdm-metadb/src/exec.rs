@@ -5,14 +5,13 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::catalog::Catalog;
+use crate::change::{Change, ChangeLog};
 use crate::error::{DbError, DbResult};
 use crate::eval::{self, row_truthy, row_value, CompiledPlan, PlanCell, Program};
 use crate::schema::{Column, Schema};
 use crate::sql::ast::{AggFunc, BinOp, Expr, Join, OrderBy, SelExpr, SelectItem, Statement};
 use crate::table::{Row, Table};
-use crate::undo::{UndoLog, UndoRecord};
 use crate::value::{IndexKey, OrdKey, Value};
-use crate::wal::record::WalAppender;
 
 /// Result of executing a statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,7 +71,7 @@ pub struct DbStats {
     /// bench asserts it stays flat on the warmed typed hot path.
     pub sql_texts: u64,
     /// Row images replayed by `ROLLBACK`s. Transactions log row-level
-    /// undo records instead of snapshotting the catalog, so after a
+    /// change records instead of snapshotting the catalog, so after a
     /// rollback this counter equals the rows the transaction *touched*
     /// — the bench asserts it is independent of table size.
     pub tx_rows_undone: u64,
@@ -818,34 +817,6 @@ fn exec_simple_aggregates(
     })
 }
 
-/// Execute a parsed statement against the catalog.
-///
-/// Convenience wrapper around [`execute_with_stats`] discarding the
-/// scan counters.
-// analyze:allow(undo-coverage: deliberately transaction-free entry point; the Database handle owns undo threading)
-pub fn execute(catalog: &mut Catalog, stmt: &Statement, params: &[Value]) -> DbResult<Outcome> {
-    let mut stats = DbStats::default();
-    execute_with_stats(catalog, stmt, params, &mut stats)
-}
-
-/// Execute a parsed statement, recording scan strategy in `stats`.
-///
-/// `BEGIN`/`COMMIT`/`ROLLBACK` are connection-level and rejected here;
-/// the `Database` handle intercepts them before reaching the executor.
-/// No transaction is in scope, so mutations log no undo.
-// analyze:allow(undo-coverage: deliberately transaction-free entry point; the Database handle owns undo threading)
-pub fn execute_with_stats(
-    catalog: &mut Catalog,
-    stmt: &Statement,
-    params: &[Value],
-    stats: &mut DbStats,
-) -> DbResult<Outcome> {
-    if let Statement::Select { .. } = stmt {
-        return execute_read(catalog, stmt, params, stats, None);
-    }
-    execute_mutation(catalog, stmt, params, stats, None, None, None)
-}
-
 /// Execute a read-only statement against a **shared** catalog borrow.
 ///
 /// This is the path the `Database` drives under `catalog.read()`:
@@ -884,24 +855,18 @@ pub fn execute_read(
     }
 }
 
-/// Execute a mutating statement, appending row-level records to `undo`
-/// when the owning transaction's log is supplied. Undo images are
-/// captured by move (displaced rows, dropped tables) — a transaction
-/// touching k rows logs O(k) work regardless of table size.
-///
-/// `wal` is the durable twin: when supplied, each mutation encodes its
-/// redo record (post-images, mirroring the undo pre-images) into the
-/// appender **before** it applies, and only for mutations that will
-/// actually apply — every site pre-validates so the log never carries a
-/// record whose mutation then failed. The `Database` hands the filled
-/// buffer to the shared log under the transaction guard.
+/// Execute a mutating statement, pushing one [`Change`] per applied
+/// effect onto `log`. Displaced data (old rows, dropped tables) is
+/// captured by move — a statement touching k rows logs O(k) work
+/// regardless of table size. Only what applied is logged, so a
+/// statement that fails part-way (a mid-batch INSERT type error) logs
+/// exactly the rows that landed and nothing else.
 pub(crate) fn execute_mutation(
     catalog: &mut Catalog,
     stmt: &Statement,
     params: &[Value],
     stats: &mut DbStats,
-    undo: Option<&mut UndoLog>,
-    wal: Option<&mut WalAppender>,
+    log: &mut ChangeLog,
     cell: Option<&PlanCell>,
 ) -> DbResult<Outcome> {
     match stmt {
@@ -919,34 +884,17 @@ pub(crate) fn execute_mutation(
                     })
                     .collect(),
             )?;
-            // Redo before apply: log only when the create will happen
-            // (an existing table either errors or is a no-op).
-            if !catalog.contains(name) {
-                if let Some(wal) = wal {
-                    wal.create_table(name, &schema);
-                }
-            }
-            let created = catalog.create_table(name, schema, *if_not_exists)?;
-            if created {
-                if let Some(undo) = undo {
-                    undo.push(UndoRecord::CreateTable { name: name.clone() });
-                }
+            if catalog.create_table(name, schema, *if_not_exists)? {
+                log.push(Change::CreateTable { name: name.clone() });
             }
             Ok(Outcome::Affected(0))
         }
         Statement::DropTable { name } => {
-            if catalog.contains(name) {
-                if let Some(wal) = wal {
-                    wal.drop_table(name);
-                }
-            }
-            let dropped = catalog.remove_table(name)?;
-            if let Some(undo) = undo {
-                undo.push(UndoRecord::DropTable {
-                    name: name.clone(),
-                    table: Box::new(dropped),
-                });
-            }
+            let dropped = catalog.drop_table(name)?;
+            log.push(Change::DropTable {
+                name: name.clone(),
+                table: Box::new(dropped),
+            });
             Ok(Outcome::Affected(0))
         }
         Statement::CreateIndex {
@@ -955,50 +903,19 @@ pub(crate) fn execute_mutation(
             columns,
         } => {
             let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
-            let t = catalog.get_mut(table)?;
-            // Pre-validate (mirroring `Table::create_index`) so the
-            // redo record is only logged for a create that will apply;
-            // invalid requests fall through to the canonical error.
-            let will_create = !columns.is_empty()
-                && columns.iter().all(|c| t.schema.index_of(c).is_ok())
-                && !t
-                    .indexes()
-                    .iter()
-                    .any(|i| i.name.eq_ignore_ascii_case(name));
-            if will_create {
-                if let Some(wal) = wal {
-                    wal.create_index(table, name, columns);
-                }
-            }
-            t.create_index(name, &cols)?;
-            if let Some(undo) = undo {
-                undo.push(UndoRecord::CreateIndex {
-                    table: table.clone(),
-                    index: name.clone(),
-                });
-            }
+            catalog.get_mut(table)?.create_index(name, &cols)?;
+            log.push(Change::CreateIndex {
+                table: table.clone(),
+                index: name.clone(),
+            });
             Ok(Outcome::Affected(0))
         }
         Statement::DropIndex { name, table } => {
-            let t = catalog.get_mut(table)?;
-            let def = t
-                .indexes()
-                .iter()
-                .find(|i| i.name.eq_ignore_ascii_case(name))
-                .cloned();
-            if def.is_some() {
-                if let Some(wal) = wal {
-                    wal.drop_index(table, name);
-                }
-            }
-            t.drop_index(name)?;
-            if let Some(undo) = undo {
-                undo.push(UndoRecord::DropIndex {
-                    table: table.clone(),
-                    // analyze:allow(unwrap: drop_index validated an index of this name exists, and def was captured under the same name)
-                    def: def.expect("drop_index succeeded, so the def existed"),
-                });
-            }
+            let def = catalog.get_mut(table)?.drop_index(name)?;
+            log.push(Change::DropIndex {
+                table: table.clone(),
+                def,
+            });
             Ok(Outcome::Affected(0))
         }
         Statement::Insert {
@@ -1056,45 +973,18 @@ pub(crate) fn execute_mutation(
                 prepared.push(full);
             }
             let t = catalog.get_mut(table)?;
-            let n = prepared.len();
-            // Validate + coerce up front, stopping at the first bad row
-            // — exactly the prefix the one-at-a-time insert loop used
-            // to land — so the redo record can be written before any
-            // row applies and still cover only rows that will apply.
-            let mut checked: Vec<Row> = Vec::with_capacity(n);
-            let mut first_err = None;
-            for row in prepared {
-                match t.schema.check_row(row) {
-                    Ok(row) => checked.push(row),
-                    Err(e) => {
-                        first_err = Some(e);
-                        break;
-                    }
-                }
-            }
-            let appended = checked.len();
+            let (n, before) = (prepared.len(), t.len());
+            // `Table::insert` validates and coerces; the first bad row
+            // stops the batch, and the rows before it stay applied.
+            let result = prepared.into_iter().try_for_each(|row| t.insert(row));
+            let appended = t.len() - before;
             if appended > 0 {
-                if let Some(wal) = wal {
-                    wal.append_rows(table, &checked);
-                }
+                log.push(Change::Append {
+                    table: table.clone(),
+                    n: appended,
+                });
             }
-            for row in checked {
-                t.insert(row)?;
-            }
-            // Log however many rows landed, even on a mid-batch type
-            // error, so a rollback removes exactly them.
-            if appended > 0 {
-                if let Some(undo) = undo {
-                    undo.push(UndoRecord::Append {
-                        table: table.clone(),
-                        n: appended,
-                    });
-                }
-            }
-            match first_err {
-                Some(e) => Err(e),
-                None => Ok(Outcome::Affected(n)),
-            }
+            result.map(|()| Outcome::Affected(n))
         }
         Statement::Update {
             table,
@@ -1166,44 +1056,28 @@ pub(crate) fn execute_mutation(
                 }
             }
             // Phase 2 (exclusive borrow): swap the new rows in; the
-            // displaced originals are the undo images, the replacements
-            // (already validated + coerced) are the redo images.
+            // displaced originals are the change record's images.
             let n = updates.len();
-            if n > 0 {
-                if let Some(wal) = wal {
-                    wal.update_rows(table, &updates);
-                }
-            }
             let old = catalog.get_mut(table)?.apply_updates(updates);
             if n > 0 {
-                if let Some(undo) = undo {
-                    undo.push(UndoRecord::Update {
-                        table: table.clone(),
-                        old,
-                    });
-                }
+                log.push(Change::Update {
+                    table: table.clone(),
+                    old,
+                });
             }
             Ok(Outcome::Affected(n))
         }
         Statement::Delete { table, filter } => {
             let Some(f) = filter else {
                 // No WHERE: take every row in one sweep (the undo
-                // record restores them at their enumerated positions).
-                let t = catalog.get_mut(table)?;
-                if !t.rows().is_empty() {
-                    if let Some(wal) = wal {
-                        wal.clear_table(table);
-                    }
-                }
-                let removed = t.clear();
+                // restores them at their enumerated positions).
+                let removed = catalog.get_mut(table)?.clear();
                 let n = removed.len();
                 if n > 0 {
-                    if let Some(undo) = undo {
-                        undo.push(UndoRecord::Delete {
-                            table: table.clone(),
-                            removed: removed.into_iter().enumerate().collect(),
-                        });
-                    }
+                    log.push(Change::Delete {
+                        table: table.clone(),
+                        removed: removed.into_iter().enumerate().collect(),
+                    });
                 }
                 return Ok(Outcome::Affected(n));
             };
@@ -1232,20 +1106,13 @@ pub(crate) fn execute_mutation(
                     .filter_map(|p| hit(p).transpose())
                     .collect::<DbResult<_>>()?,
             };
-            if !positions.is_empty() {
-                if let Some(wal) = wal {
-                    wal.delete_rows(table, &positions);
-                }
-            }
             let removed = catalog.get_mut(table)?.delete_at(&positions);
             let n = removed.len();
             if n > 0 {
-                if let Some(undo) = undo {
-                    undo.push(UndoRecord::Delete {
-                        table: table.clone(),
-                        removed: positions.into_iter().zip(removed).collect(),
-                    });
-                }
+                log.push(Change::Delete {
+                    table: table.clone(),
+                    removed: positions.into_iter().zip(removed).collect(),
+                });
             }
             Ok(Outcome::Affected(n))
         }
@@ -1882,8 +1749,34 @@ mod tests {
     use super::*;
     use crate::sql::parse;
 
+    /// Run one statement the way `Database::run_statement` dispatches
+    /// it: SELECTs read, everything else mutates. No transaction is in
+    /// scope, so the statement's change log is dropped.
+    fn run_stats(
+        catalog: &mut Catalog,
+        stmt: &Statement,
+        params: &[Value],
+        stats: &mut DbStats,
+    ) -> DbResult<Outcome> {
+        match stmt {
+            Statement::Select { .. } => execute_read(catalog, stmt, params, stats, None),
+            _ => execute_mutation(
+                catalog,
+                stmt,
+                params,
+                stats,
+                &mut ChangeLog::default(),
+                None,
+            ),
+        }
+    }
+
+    fn try_run(catalog: &mut Catalog, stmt: &Statement, params: &[Value]) -> DbResult<Outcome> {
+        run_stats(catalog, stmt, params, &mut DbStats::default())
+    }
+
     fn run(catalog: &mut Catalog, sql: &str, params: &[Value]) -> Outcome {
-        execute(catalog, &parse(sql).unwrap(), params).unwrap()
+        try_run(catalog, &parse(sql).unwrap(), params).unwrap()
     }
 
     fn rows_of(o: Outcome) -> Vec<Row> {
@@ -2001,14 +1894,14 @@ mod tests {
     #[test]
     fn missing_param_errors() {
         let mut c = setup();
-        let err = execute(&mut c, &parse("SELECT * FROM t WHERE id = ?").unwrap(), &[]);
+        let err = try_run(&mut c, &parse("SELECT * FROM t WHERE id = ?").unwrap(), &[]);
         assert!(matches!(err, Err(DbError::Arity(_))));
     }
 
     #[test]
     fn type_error_on_bad_insert() {
         let mut c = setup();
-        let err = execute(
+        let err = try_run(
             &mut c,
             &parse("INSERT INTO t VALUES ('not an int', 0.0, 'x')").unwrap(),
             &[],
@@ -2116,7 +2009,7 @@ mod tests {
     #[test]
     fn bare_column_outside_group_by_rejected() {
         let mut c = setup();
-        let err = execute(&mut c, &parse("SELECT name, COUNT(*) FROM t").unwrap(), &[]);
+        let err = try_run(&mut c, &parse("SELECT name, COUNT(*) FROM t").unwrap(), &[]);
         assert!(matches!(err, Err(DbError::Parse(_))));
     }
 
@@ -2197,7 +2090,7 @@ mod tests {
     #[test]
     fn ambiguous_unqualified_column_rejected() {
         let mut c = join_setup();
-        let err = execute(
+        let err = try_run(
             &mut c,
             &parse("SELECT runid FROM runs JOIN execs ON runs.runid = execs.runid").unwrap(),
             &[],
@@ -2238,7 +2131,7 @@ mod tests {
         }
         run(&mut c, "CREATE INDEX hk ON h (k)", &[]);
         let mut stats = DbStats::default();
-        let out = execute_with_stats(
+        let out = run_stats(
             &mut c,
             &parse("SELECT COUNT(*) FROM h WHERE k = ?").unwrap(),
             &[Value::Int(3)],
@@ -2255,7 +2148,7 @@ mod tests {
         // bound widens to `k >= 3`, and re-verification drops the k = 3
         // bucket.
         let mut stats = DbStats::default();
-        let out = execute_with_stats(
+        let out = run_stats(
             &mut c,
             &parse("SELECT COUNT(*) FROM h WHERE k > 3").unwrap(),
             &[],
@@ -2265,7 +2158,7 @@ mod tests {
         assert_eq!(rows_of(out), vec![vec![Value::Int(30)]]);
         assert_eq!((stats.plan_range_probes, stats.rows_scanned), (1, 35));
         // A predicate on an unindexed column falls back to a scan.
-        let out = execute_with_stats(
+        let out = run_stats(
             &mut c,
             &parse("SELECT COUNT(*) FROM h WHERE v = 'x'").unwrap(),
             &[],
@@ -2300,7 +2193,7 @@ mod tests {
             run(&mut c, "INSERT INTO r VALUES (?)", &[Value::Int(i)]);
         }
         let mut stats = DbStats::default();
-        let out = execute_with_stats(
+        let out = run_stats(
             &mut c,
             &parse("SELECT MAX(runid) FROM r").unwrap(),
             &[],
@@ -2331,7 +2224,7 @@ mod tests {
         }
         run(&mut c, "CREATE INDEX tk ON t (k)", &[]);
         let mut stats = DbStats::default();
-        let out = execute_with_stats(
+        let out = run_stats(
             &mut c,
             &parse("SELECT COUNT(*), MIN(v), MAX(v) FROM t WHERE k = ?").unwrap(),
             &[Value::Int(1)],
@@ -2400,7 +2293,7 @@ mod tests {
     fn tx_statements_rejected_at_executor() {
         let mut c = Catalog::new();
         assert!(matches!(
-            execute(&mut c, &Statement::Begin, &[]),
+            try_run(&mut c, &Statement::Begin, &[]),
             Err(DbError::Tx(_))
         ));
     }
@@ -2432,7 +2325,7 @@ mod tests {
     fn range_probe_walks_ordered_index() {
         let mut c = exec_like();
         let mut stats = DbStats::default();
-        let out = execute_with_stats(
+        let out = run_stats(
             &mut c,
             &parse("SELECT off FROM e WHERE runid = ? AND ts >= ? AND ts <= ?").unwrap(),
             &[Value::Int(2), Value::Int(10), Value::Int(13)],
@@ -2458,7 +2351,7 @@ mod tests {
         let mut stats = DbStats::default();
         // Strict bounds are widened for the probe; re-verification and
         // tightest-bound merging still yield exactly (5, 8].
-        let out = execute_with_stats(
+        let out = run_stats(
             &mut c,
             &parse("SELECT ts FROM e WHERE runid = 1 AND ts > 2 AND ts > 5 AND ts <= 8").unwrap(),
             &[],
@@ -2476,7 +2369,7 @@ mod tests {
     fn full_key_equality_is_a_point_probe() {
         let mut c = exec_like();
         let mut stats = DbStats::default();
-        let out = execute_with_stats(
+        let out = run_stats(
             &mut c,
             &parse("SELECT off FROM e WHERE ts = ? AND runid = ?").unwrap(),
             &[Value::Int(7), Value::Int(3)],
@@ -2496,7 +2389,7 @@ mod tests {
     fn null_bound_short_circuits_to_empty() {
         let mut c = exec_like();
         let mut stats = DbStats::default();
-        let out = execute_with_stats(
+        let out = run_stats(
             &mut c,
             &parse("SELECT ts FROM e WHERE runid = 1 AND ts < ?").unwrap(),
             &[Value::Null],
@@ -2511,7 +2404,7 @@ mod tests {
     fn order_by_limit_streams_off_ordered_index() {
         let mut c = exec_like();
         let mut stats = DbStats::default();
-        let out = execute_with_stats(
+        let out = run_stats(
             &mut c,
             &parse("SELECT ts FROM e WHERE runid = ? ORDER BY ts DESC LIMIT 3").unwrap(),
             &[Value::Int(1)],
@@ -2537,7 +2430,7 @@ mod tests {
         );
         assert_eq!(stats.rows_scanned, 3, "LIMIT stops the walk");
         // A range bound on the order column clips the stream too.
-        let out = execute_with_stats(
+        let out = run_stats(
             &mut c,
             &parse("SELECT ts FROM e WHERE runid = 1 AND ts >= 20 ORDER BY ts LIMIT 2").unwrap(),
             &[],
@@ -2577,8 +2470,7 @@ mod tests {
         ] {
             let mut stats = DbStats::default();
             let a = rows_of(
-                execute_with_stats(&mut build(true), &parse(sql).unwrap(), &[], &mut stats)
-                    .unwrap(),
+                run_stats(&mut build(true), &parse(sql).unwrap(), &[], &mut stats).unwrap(),
             );
             assert_eq!(stats.sorts_avoided, 1, "indexed run streams: {sql}");
             let b = rows_of(run(&mut build(false), sql, &[]));
@@ -2596,7 +2488,7 @@ mod tests {
             &[],
         );
         let mut stats = DbStats::default();
-        let out = execute_with_stats(
+        let out = run_stats(
             &mut c,
             &parse("SELECT MIN(ts), MAX(ts) FROM e WHERE runid = ?").unwrap(),
             &[Value::Int(1)],
@@ -2615,7 +2507,7 @@ mod tests {
         // Unfiltered MAX peeks the index tail (run_table's AllocMax).
         run(&mut c, "CREATE INDEX e_ts ON e (ts)", &[]);
         let mut stats = DbStats::default();
-        let out = execute_with_stats(
+        let out = run_stats(
             &mut c,
             &parse("SELECT MAX(ts) FROM e").unwrap(),
             &[],
@@ -2631,7 +2523,7 @@ mod tests {
         let mut c = exec_like();
         let mut stats = DbStats::default();
         // SUM can't peek, so the whole item list takes the generic pass.
-        let out = execute_with_stats(
+        let out = run_stats(
             &mut c,
             &parse("SELECT MAX(ts), SUM(off) FROM e WHERE runid = 0").unwrap(),
             &[],
@@ -2646,7 +2538,7 @@ mod tests {
     fn prefix_probe_without_range_bounds_scans_the_prefix() {
         let mut c = exec_like();
         let mut stats = DbStats::default();
-        let out = execute_with_stats(
+        let out = run_stats(
             &mut c,
             &parse("SELECT COUNT(off) FROM e WHERE runid = ?").unwrap(),
             &[Value::Int(2)],

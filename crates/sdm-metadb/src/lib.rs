@@ -9,21 +9,22 @@
 //! single-column INNER JOIN, ordered secondary indexes over one or more
 //! columns (CREATE INDEX) with cost-based point/range/stream planning
 //! and incremental maintenance, and
-//! undo-log transactions (BEGIN/COMMIT/ROLLBACK cost O(rows touched),
+//! change-log transactions (BEGIN/COMMIT/ROLLBACK cost O(rows touched),
 //! never O(database)) — as an in-process engine:
 //!
 //! * [`value::Value`] / [`schema::Schema`] — the type system (INT,
 //!   DOUBLE, TEXT + NULL).
 //! * [`sql`] — lexer, AST, recursive-descent parser for the SQL subset.
-//! * [`exec`] — statement execution (shared-borrow reads, undo-logging
-//!   mutations) with index-backed join strategies (merge and
-//!   index-nested-loop over indexes, hash join as fallback).
+//! * [`exec`] — statement execution (shared-borrow reads, mutations
+//!   that log what they applied) with index-backed join strategies
+//!   (merge and index-nested-loop over indexes, hash join as fallback).
 //! * [`eval`] — compiled expression evaluation: predicates lowered once
 //!   into flat instruction lists (column slots, interned constants,
 //!   short-circuit jumps) and run per row against a register file with
 //!   zero allocation; the AST walk survives only as the fallback.
-//! * [`undo`] — per-transaction row-level undo logs (`ROLLBACK` replays
-//!   them in reverse).
+//! * [`change`] — the one mutation record: what a statement applied
+//!   plus the data it displaced. The same record is encoded forward
+//!   into the WAL and replayed in reverse by `ROLLBACK`.
 //! * [`Database`] — the embedded connection: `exec(sql, params)` for
 //!   SQL text, `exec_stmt(stmt, params)` for typed statements.
 //! * [`stmt`] — the **typed statement layer**: tables described once by
@@ -44,6 +45,7 @@
 //! lookups) goes through SQL here, as in the paper.
 
 pub mod catalog;
+pub mod change;
 pub mod db;
 pub mod error;
 pub mod eval;
@@ -52,7 +54,6 @@ pub mod schema;
 pub mod sql;
 pub mod stmt;
 pub mod table;
-pub mod undo;
 pub mod value;
 pub mod wal;
 

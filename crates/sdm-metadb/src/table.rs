@@ -342,20 +342,8 @@ impl Table {
         self.rows = merged;
     }
 
-    /// Delete rows matching `pred`; returns how many were removed.
-    /// A predicate that matches nothing performs no index work at all.
-    pub fn delete_where(&mut self, mut pred: impl FnMut(&Row) -> bool) -> usize {
-        let positions: Vec<usize> = self
-            .rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| pred(r).then_some(i))
-            .collect();
-        self.delete_at(&positions).len()
-    }
-
     /// Remove every row, returning them (DELETE without WHERE; the
-    /// caller keeps the rows for undo).
+    /// change log keeps the rows for undo).
     pub fn clear(&mut self) -> Vec<Row> {
         for m in &mut self.maps {
             m.map.clear();
@@ -365,7 +353,7 @@ impl Table {
 
     /// Replace the rows at the given positions with pre-validated,
     /// pre-coerced replacements, returning the displaced originals
-    /// (the UPDATE undo records). Index maps are patched only for
+    /// (the UPDATE change record). Index maps are patched only for
     /// cells that actually changed.
     pub fn apply_updates(&mut self, updates: Vec<(usize, Row)>) -> Vec<(usize, Row)> {
         let mut old_rows = Vec::with_capacity(updates.len());
@@ -406,8 +394,9 @@ impl Table {
         Ok(())
     }
 
-    /// Drop an index by name.
-    pub fn drop_index(&mut self, name: &str) -> DbResult<()> {
+    /// Drop an index by name, returning its definition (the change log
+    /// keeps it for undo).
+    pub fn drop_index(&mut self, name: &str) -> DbResult<IndexDef> {
         match self
             .indexes
             .iter()
@@ -415,9 +404,8 @@ impl Table {
         {
             None => Err(DbError::NoSuchIndex(name.to_string())),
             Some(i) => {
-                self.indexes.remove(i);
                 self.maps.remove(i);
-                Ok(())
+                Ok(self.indexes.remove(i))
             }
         }
     }
@@ -677,17 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn delete_where_counts() {
-        let mut t = table();
-        for i in 0..5 {
-            t.insert(vec![Value::Int(i), Value::from("x")]).unwrap();
-        }
-        let n = t.delete_where(|r| r[0].as_i64().unwrap() % 2 == 0);
-        assert_eq!(n, 3);
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
     fn index_lookup_finds_rows() {
         let mut t = table();
         for i in 0..10 {
@@ -746,7 +723,7 @@ mod tests {
         assert_eq!(t.index_lookup("k", &Value::Int(7)).unwrap().len(), 1);
         t.insert(vec![Value::Int(7), Value::from("b")]).unwrap();
         assert_eq!(t.index_lookup("k", &Value::Int(7)).unwrap().len(), 2);
-        t.delete_where(|r| r[1].as_str() == Some("a"));
+        t.delete_at(&[0]); // the "a" row
         assert_eq!(t.index_lookup("k", &Value::Int(7)).unwrap().len(), 1);
         assert!(t.maps_match_rebuild());
     }
@@ -1050,7 +1027,7 @@ mod tests {
         // Only NULL and NaN left: both peeks report "no qualifying row".
         let mut t2 = t.clone();
         t2.rebuild_indexes();
-        t2.delete_where(|r| matches!(r[0], Value::Double(d) if d.is_finite()));
+        t2.delete_at(&[2, 3]); // the finite values
         assert_eq!(t2.peek_edge(0, &[], false), Some(None));
         assert_eq!(t2.peek_edge(0, &[], true), Some(None));
     }

@@ -2,14 +2,16 @@
 //!
 //! The paper's metadata lived in a MySQL server precisely so it
 //! survived across runs; this module gives the embedded reproduction
-//! the same property. The design is append-before-apply over the
+//! the same property. The design is a log of what applied, over the
 //! in-memory catalog (the Bitcask shape named in the ROADMAP):
 //!
-//! * **Append before apply.** Every mutation encodes its redo record
-//!   ([`record::WalAppender`], post-images mirroring the undo log's
-//!   pre-images) *before* the catalog changes, and the frames reach the
-//!   shared log buffer while the transaction guard is held — frames of
-//!   different transactions never interleave.
+//! * **Log what applied.** A statement pushes one `Change` per effect
+//!   it applied — also for the rows a statement that then failed did
+//!   apply. While the catalog write guard is still held,
+//!   `WalAppender::change` encodes each record forward, borrowing the
+//!   post-images from the catalog the statement left; the frames reach
+//!   the shared log buffer while the transaction guard is held — frames
+//!   of different transactions never interleave.
 //! * **Group commit.** A committing thread calls `Wal::sync_to` after
 //!   releasing the transaction slot. The first thread in becomes the
 //!   *leader*: it drains the buffer and fsyncs once while later
@@ -23,8 +25,11 @@
 //! * **Recovery.** `Wal::open` loads the newest valid snapshot and
 //!   replays committed transactions in log order, skipping anything the
 //!   snapshot already covers (`txid <= snapshot_last_tx`) and
-//!   discarding the torn tail after the last valid CRC. Uncommitted and
-//!   aborted transactions are never applied.
+//!   discarding the torn tail after the last valid CRC. At a COMMIT each
+//!   buffered frame is applied straight from its bytes; a CRC-valid
+//!   frame that does not parse fails the open with an error naming its
+//!   transaction. Uncommitted and aborted transactions are never
+//!   applied.
 //!
 //! A failed sync **poisons** the WAL (the PostgreSQL rule): once an
 //! fsync fails the kernel may have dropped the dirty pages, so claiming
@@ -47,7 +52,7 @@ use parking_lot::Mutex;
 use crate::catalog::Catalog;
 use crate::db::{LOCK_RANK_WAL_BUF, LOCK_RANK_WAL_SYNC};
 use crate::error::{DbError, DbResult};
-use record::Replay;
+use record::Frame;
 use storage::WalStorage;
 
 /// What recovery found when the database opened.
@@ -57,13 +62,14 @@ pub struct RecoveryInfo {
     pub snapshot_last_tx: u64,
     /// Committed transactions replayed from the log.
     pub replayed_txs: u64,
-    /// Redo records applied during replay.
+    /// Data frames applied during replay.
     pub replayed_records: u64,
     /// Records discarded: uncommitted tails, aborted transactions, and
     /// committed work the snapshot already covered.
     pub discarded_records: u64,
-    /// Bytes of torn/corrupt log tail discarded after the last valid
-    /// frame (per segment).
+    /// Bytes of torn log tail discarded after the last valid frame
+    /// (per segment). Only length and CRC failures count: a CRC-valid
+    /// frame that does not parse fails the open instead.
     pub torn_bytes: u64,
     /// Highest committed transaction id visible after recovery.
     pub last_committed_tx: u64,
@@ -120,13 +126,13 @@ impl Wal {
         };
         let mut max_txid = snapshot_last_tx;
         for segment in storage.read_segments()? {
-            let (frames, consumed) = record::decode_all(&segment);
+            let (frames, consumed) = record::decode_all(&segment)?;
             info.torn_bytes += (segment.len() - consumed) as u64;
-            // Records of the transaction currently being read, buffered
+            // Frames of the transaction currently being read, buffered
             // until its terminator decides their fate. One transaction
             // never spans segments (the log only rotates at quiesce
             // points), so a segment end discards any open tail.
-            let mut pending: Vec<Replay> = Vec::new();
+            let mut pending: Vec<Frame<'_>> = Vec::new();
             let mut pending_txid = 0u64;
             for frame in frames {
                 max_txid = max_txid.max(frame.txid);
@@ -137,12 +143,12 @@ impl Wal {
                     pending.clear();
                 }
                 pending_txid = frame.txid;
-                match frame.replay {
-                    Replay::Commit => {
+                match frame.kind {
+                    record::KIND_COMMIT => {
                         if frame.txid > snapshot_last_tx {
                             info.replayed_records += pending.len() as u64;
-                            for rec in pending.drain(..) {
-                                catalog.apply_redo(rec)?;
+                            for f in pending.drain(..) {
+                                f.apply(&mut catalog)?;
                             }
                             info.replayed_txs += 1;
                             info.last_committed_tx = info.last_committed_tx.max(frame.txid);
@@ -151,13 +157,13 @@ impl Wal {
                             pending.clear();
                         }
                     }
-                    Replay::Abort => {
+                    record::KIND_ABORT => {
                         info.discarded_records += pending.len() as u64;
                         pending.clear();
                     }
-                    rec => {
+                    _ => {
                         if frame.txid > snapshot_last_tx {
-                            pending.push(rec);
+                            pending.push(frame);
                         } else {
                             info.discarded_records += 1;
                         }
@@ -324,6 +330,7 @@ fn decode_snapshot(bytes: &[u8]) -> DbResult<(Catalog, u64)> {
 
 #[cfg(test)]
 mod tests {
+    use super::record::tests::encode_sql;
     use super::record::WalAppender;
     use super::storage::{MemStorage, WalFaults};
     use super::*;
@@ -338,13 +345,23 @@ mod tests {
         .unwrap()
     }
 
-    /// Encode one committed transaction: CREATE TABLE t + one row.
-    fn tx_bytes(txid: u64, v: i64) -> Vec<u8> {
+    /// Frames of transaction `txid` inserting `v` into `t` (transaction
+    /// 1 creates `t` first), not yet terminated.
+    fn tx_frames(txid: u64, v: i64) -> WalAppender {
+        let mut c = Catalog::new();
         let mut w = WalAppender::new(txid);
         if txid == 1 {
-            w.create_table("t", &schema());
+            encode_sql(&mut c, &mut w, "CREATE TABLE t (a INT)");
+        } else {
+            c.create_table("t", schema(), false).unwrap();
         }
-        w.append_rows("t", &[vec![Value::Int(v)]]);
+        encode_sql(&mut c, &mut w, &format!("INSERT INTO t VALUES ({v})"));
+        w
+    }
+
+    /// Encode one committed transaction (see [`tx_frames`]).
+    fn tx_bytes(txid: u64, v: i64) -> Vec<u8> {
+        let mut w = tx_frames(txid, v);
         w.commit();
         w.into_buf()
     }
@@ -387,9 +404,7 @@ mod tests {
         // Transaction 2 never commits: its frames reach the log but no
         // terminator does.
         let t2 = wal.begin_tx();
-        let mut w = WalAppender::new(t2);
-        w.append_rows("t", &[vec![Value::Int(99)]]);
-        let lsn = wal.append_bytes(&w.into_buf(), 0);
+        let lsn = wal.append_bytes(&tx_frames(t2, 99).into_buf(), 0);
         wal.sync_to(lsn).unwrap();
 
         let (storage, _h2) = MemStorage::from_persisted(h.persisted());
@@ -405,8 +420,7 @@ mod tests {
         let t1 = wal.begin_tx();
         wal.append_bytes(&tx_bytes(t1, 7), 1);
         let t2 = wal.begin_tx();
-        let mut w = WalAppender::new(t2);
-        w.append_rows("t", &[vec![Value::Int(99)]]);
+        let mut w = tx_frames(t2, 99);
         w.abort();
         let lsn = wal.append_bytes(&w.into_buf(), 0);
         wal.sync_to(lsn).unwrap();

@@ -13,18 +13,24 @@
 //! leaves either a short frame (fewer than `len` bytes follow) or a
 //! checksum mismatch, never a silently half-applied record.
 //!
-//! Record kinds mirror the `crate::undo::UndoRecord` shapes — they
-//! are the *redo* twins. Data records carry post-images (the rows an
-//! INSERT appended, the replacement rows of an UPDATE, the positions a
-//! DELETE removed), because recovery replays forward from a snapshot;
-//! the undo log keeps the pre-images for in-memory `ROLLBACK`. `Commit`
-//! and `Abort` are transaction terminators: recovery applies a
-//! transaction's buffered records only when it sees the `Commit`.
+//! Record kinds are the shapes of `crate::change::Change`, encoded
+//! forward: data records carry post-images (the rows an INSERT
+//! appended, the replacement rows of an UPDATE, the positions a DELETE
+//! removed), because recovery replays forward from a snapshot, while
+//! the change log itself keeps the pre-images for in-memory `ROLLBACK`.
+//! A DELETE that emptied its table is written as CLEAR. `Commit` and
+//! `Abort` are transaction terminators: recovery applies a
+//! transaction's buffered frames only when it sees the `Commit`.
 //!
-//! Encoding is borrow-based: [`WalAppender`] writes frames straight
-//! from the executor's borrowed rows into a per-statement byte buffer —
-//! capturing redo never clones a row image.
+//! Encoding is borrow-based: `WalAppender::change` writes a frame
+//! straight from the catalog's rows into a per-statement byte buffer,
+//! and recovery applies each frame body straight from its bytes
+//! (`Frame::apply`) — neither direction builds an intermediate
+//! record.
 
+use crate::catalog::Catalog;
+use crate::change::Change;
+use crate::error::{DbError, DbResult};
 use crate::schema::{ColType, Column, Schema};
 use crate::table::Row;
 use crate::value::Value;
@@ -38,8 +44,8 @@ const KIND_CREATE_TABLE: u8 = 5;
 const KIND_DROP_TABLE: u8 = 6;
 const KIND_CREATE_INDEX: u8 = 7;
 const KIND_DROP_INDEX: u8 = 8;
-const KIND_COMMIT: u8 = 9;
-const KIND_ABORT: u8 = 10;
+pub(crate) const KIND_COMMIT: u8 = 9;
+pub(crate) const KIND_ABORT: u8 = 10;
 
 // ------------------------------------------------------------------ crc32
 
@@ -77,10 +83,10 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 // --------------------------------------------------------------- encoding
 
-/// Per-statement redo capture: the executor appends one frame per
-/// mutation **before** applying it, and the `Database` hands the filled
-/// buffer to the shared WAL under the transaction guard — so frames of
-/// different transactions never interleave in the log.
+/// Per-statement frame capture: the `Database` encodes one frame per
+/// change the statement applied, then hands the filled buffer to the
+/// shared WAL under the transaction guard — so frames of different
+/// transactions never interleave in the log.
 #[derive(Debug)]
 pub struct WalAppender {
     txid: u64,
@@ -135,87 +141,92 @@ impl WalAppender {
         self.records += 1;
     }
 
-    /// INSERT appended `rows` to `table`.
-    pub(crate) fn append_rows(&mut self, table: &str, rows: &[Row]) {
-        let at = self.begin(KIND_APPEND);
-        put_str(&mut self.buf, table);
-        put_u32(&mut self.buf, rows.len() as u32);
-        for row in rows {
-            put_row(&mut self.buf, row);
+    /// Encode one applied change forward. Names and positions come
+    /// from the record; post-images come from `catalog`, the state the
+    /// statement left — the caller still holds the catalog write guard,
+    /// so that state is exactly what the change produced. A DELETE
+    /// that emptied its table is written as CLEAR.
+    pub(crate) fn change(&mut self, change: &Change, catalog: &Catalog) {
+        let live = |name: &str| {
+            catalog
+                .get(name)
+                // analyze:allow(unwrap: the statement applied this change to a live table under the write guard still held)
+                .expect("a logged change names a live table")
+        };
+        let at;
+        match change {
+            Change::Append { table, n } => {
+                let rows = live(table).rows();
+                at = self.begin(KIND_APPEND);
+                put_str(&mut self.buf, table);
+                put_u32(&mut self.buf, *n as u32);
+                // analyze:allow(panic-under-guard: the last `n` rows are the ones this change appended)
+                for row in &rows[rows.len() - n..] {
+                    put_row(&mut self.buf, row);
+                }
+            }
+            Change::Update { table, old } => {
+                let rows = live(table).rows();
+                at = self.begin(KIND_UPDATE);
+                put_str(&mut self.buf, table);
+                put_u32(&mut self.buf, old.len() as u32);
+                for (pos, _) in old {
+                    put_u64(&mut self.buf, *pos as u64);
+                    // analyze:allow(panic-under-guard: an UPDATE rewrites rows in place, so every logged position is live)
+                    put_row(&mut self.buf, &rows[*pos]);
+                }
+            }
+            Change::Delete { table, .. } if live(table).is_empty() => {
+                at = self.begin(KIND_CLEAR);
+                put_str(&mut self.buf, table);
+            }
+            Change::Delete { table, removed } => {
+                at = self.begin(KIND_DELETE);
+                put_str(&mut self.buf, table);
+                put_u32(&mut self.buf, removed.len() as u32);
+                for (pos, _) in removed {
+                    put_u64(&mut self.buf, *pos as u64);
+                }
+            }
+            Change::CreateTable { name } => {
+                let schema = &live(name).schema;
+                at = self.begin(KIND_CREATE_TABLE);
+                put_str(&mut self.buf, name);
+                put_u32(&mut self.buf, schema.columns.len() as u32);
+                for col in &schema.columns {
+                    put_str(&mut self.buf, &col.name);
+                    self.buf.push(match col.ctype {
+                        ColType::Int => 0,
+                        ColType::Double => 1,
+                        ColType::Text => 2,
+                    });
+                }
+            }
+            Change::DropTable { name, .. } => {
+                at = self.begin(KIND_DROP_TABLE);
+                put_str(&mut self.buf, name);
+            }
+            Change::CreateIndex { table, index } => {
+                let def = live(table)
+                    .indexes()
+                    .iter()
+                    .find(|d| d.name.eq_ignore_ascii_case(index))
+                    // analyze:allow(unwrap: the statement created this index under the write guard still held)
+                    .expect("a logged CREATE INDEX names a live index");
+                at = self.begin(KIND_CREATE_INDEX);
+                put_str(&mut self.buf, table);
+                put_str(&mut self.buf, index);
+                put_u32(&mut self.buf, def.columns.len() as u32);
+                for c in &def.columns {
+                    put_str(&mut self.buf, c);
+                }
+            }
+            Change::DropIndex { table, def } => {
+                at = self.begin(KIND_DROP_INDEX);
+                put_str(&mut self.buf, table);
+                put_str(&mut self.buf, &def.name);
+            }
         }
-        self.finish(at);
-    }
-
-    /// UPDATE replaced the rows at the given positions with post-images.
-    pub(crate) fn update_rows(&mut self, table: &str, news: &[(usize, Row)]) {
-        let at = self.begin(KIND_UPDATE);
-        put_str(&mut self.buf, table);
-        put_u32(&mut self.buf, news.len() as u32);
-        for (pos, row) in news {
-            put_u64(&mut self.buf, *pos as u64);
-            put_row(&mut self.buf, row);
-        }
-        self.finish(at);
-    }
-
-    /// DELETE removed the rows at `positions` (ascending).
-    pub(crate) fn delete_rows(&mut self, table: &str, positions: &[usize]) {
-        let at = self.begin(KIND_DELETE);
-        put_str(&mut self.buf, table);
-        put_u32(&mut self.buf, positions.len() as u32);
-        for pos in positions {
-            put_u64(&mut self.buf, *pos as u64);
-        }
-        self.finish(at);
-    }
-
-    /// DELETE without WHERE emptied `table`.
-    pub(crate) fn clear_table(&mut self, table: &str) {
-        let at = self.begin(KIND_CLEAR);
-        put_str(&mut self.buf, table);
-        self.finish(at);
-    }
-
-    /// CREATE TABLE `name` with `schema`.
-    pub(crate) fn create_table(&mut self, name: &str, schema: &Schema) {
-        let at = self.begin(KIND_CREATE_TABLE);
-        put_str(&mut self.buf, name);
-        put_u32(&mut self.buf, schema.columns.len() as u32);
-        for col in &schema.columns {
-            put_str(&mut self.buf, &col.name);
-            self.buf.push(match col.ctype {
-                ColType::Int => 0,
-                ColType::Double => 1,
-                ColType::Text => 2,
-            });
-        }
-        self.finish(at);
-    }
-
-    /// DROP TABLE `name`.
-    pub(crate) fn drop_table(&mut self, name: &str) {
-        let at = self.begin(KIND_DROP_TABLE);
-        put_str(&mut self.buf, name);
-        self.finish(at);
-    }
-
-    /// CREATE INDEX `index` on `table`.
-    pub(crate) fn create_index(&mut self, table: &str, index: &str, columns: &[String]) {
-        let at = self.begin(KIND_CREATE_INDEX);
-        put_str(&mut self.buf, table);
-        put_str(&mut self.buf, index);
-        put_u32(&mut self.buf, columns.len() as u32);
-        for c in columns {
-            put_str(&mut self.buf, c);
-        }
-        self.finish(at);
-    }
-
-    /// DROP INDEX `index` on `table`.
-    pub(crate) fn drop_index(&mut self, table: &str, index: &str) {
-        let at = self.begin(KIND_DROP_INDEX);
-        put_str(&mut self.buf, table);
-        put_str(&mut self.buf, index);
         self.finish(at);
     }
 
@@ -269,85 +280,127 @@ fn put_row(buf: &mut Vec<u8>, row: &Row) {
 
 // --------------------------------------------------------------- decoding
 
-/// One decoded redo record (the owned twin of what [`WalAppender`]
-/// encoded), applied by `Catalog::apply_redo`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Replay {
-    /// Append `rows` to `table`.
-    Append {
-        /// Target table.
-        table: String,
-        /// Post-image rows, in insertion order.
-        rows: Vec<Row>,
-    },
-    /// Replace the rows at the given positions with post-images.
-    Update {
-        /// Target table.
-        table: String,
-        /// `(position, post-image)` pairs.
-        news: Vec<(usize, Row)>,
-    },
-    /// Remove the rows at `positions` (ascending).
-    Delete {
-        /// Target table.
-        table: String,
-        /// Ascending original positions.
-        positions: Vec<usize>,
-    },
-    /// Remove every row of `table`.
-    Clear {
-        /// Target table.
-        table: String,
-    },
-    /// Create `name` with `schema`.
-    CreateTable {
-        /// Created table name.
-        name: String,
-        /// Its column schema.
-        schema: Schema,
-    },
-    /// Drop `name`.
-    DropTable {
-        /// Dropped table name.
-        name: String,
-    },
-    /// Create `index` on `table`.
-    CreateIndex {
-        /// Owning table.
-        table: String,
-        /// Index name.
-        index: String,
-        /// Indexed columns, in key order.
-        columns: Vec<String>,
-    },
-    /// Drop `index` from `table`.
-    DropIndex {
-        /// Owning table.
-        table: String,
-        /// Index name.
-        index: String,
-    },
-    /// Transaction terminator: apply the buffered records.
-    Commit,
-    /// Transaction terminator: discard the buffered records.
-    Abort,
-}
-
-/// A decoded frame: the transaction it belongs to plus its record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Frame {
+/// One length- and CRC-valid frame: the transaction it belongs to, its
+/// record kind, and the record body, still encoded.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Frame<'a> {
     /// Stamping transaction id.
     pub txid: u64,
-    /// The decoded record.
-    pub replay: Replay,
+    /// Record kind (the `u8` after the txid).
+    pub kind: u8,
+    /// The kind-specific body.
+    pub body: &'a [u8],
 }
 
-/// Walk `bytes` frame by frame. Returns the decoded frames plus the
-/// number of bytes consumed by *valid* frames — decoding stops at the
-/// first short frame, checksum mismatch, or malformed payload (the torn
-/// tail a crash mid-append leaves behind), and the caller discards
-/// everything from that offset on.
-pub fn decode_all(bytes: &[u8]) -> (Vec<Frame>, usize) {
+impl Frame<'_> {
+    /// Apply this frame to `catalog`, decoding the body straight from
+    /// its bytes (recovery calls this once the transaction's COMMIT is
+    /// seen). The log was written by the executor that produced the
+    /// state being rebuilt, so every name and position resolves; a body
+    /// that does not parse or apply means a corrupt-but-CRC-valid log,
+    /// and surfaces as an open error naming the transaction.
+    pub(crate) fn apply(&self, catalog: &mut Catalog) -> DbResult<()> {
+        self.apply_body(catalog).map_err(|e| {
+            let why = match e {
+                DbError::Persist(m) => m,
+                other => other.to_string(),
+            };
+            DbError::Persist(format!(
+                "wal replay: tx {}, record kind {}: {why}",
+                self.txid, self.kind
+            ))
+        })
+    }
+
+    fn apply_body(&self, catalog: &mut Catalog) -> DbResult<()> {
+        let mut cur = Cursor {
+            data: self.body,
+            pos: 0,
+        };
+        match self.kind {
+            KIND_APPEND => {
+                let t = catalog.get_mut(&cur.string()?)?;
+                for _ in 0..cur.u32()? {
+                    t.insert(cur.row()?)?;
+                }
+            }
+            KIND_UPDATE => {
+                let t = catalog.get_mut(&cur.string()?)?;
+                let news = (0..cur.u32()?)
+                    .map(|_| {
+                        let pos = cur.position(t.len())?;
+                        Ok((pos, t.schema.check_row(cur.row()?)?))
+                    })
+                    .collect::<DbResult<Vec<_>>>()?;
+                t.apply_updates(news);
+            }
+            KIND_DELETE => {
+                let t = catalog.get_mut(&cur.string()?)?;
+                let positions = (0..cur.u32()?)
+                    .map(|_| cur.position(t.len()))
+                    .collect::<DbResult<Vec<_>>>()?;
+                if !positions.windows(2).all(|w| w[0] < w[1]) {
+                    return Err(malformed("DELETE positions are not ascending"));
+                }
+                t.delete_at(&positions);
+            }
+            KIND_CLEAR => {
+                catalog.get_mut(&cur.string()?)?.clear();
+            }
+            KIND_CREATE_TABLE => {
+                let name = cur.string()?;
+                let columns = (0..cur.u32()?)
+                    .map(|_| {
+                        let name = cur.string()?;
+                        let ctype = match cur.u8()? {
+                            0 => ColType::Int,
+                            1 => ColType::Double,
+                            2 => ColType::Text,
+                            _ => return Err(malformed("unknown column type")),
+                        };
+                        Ok(Column { name, ctype })
+                    })
+                    .collect::<DbResult<Vec<_>>>()?;
+                catalog.create_table(&name, Schema::new(columns)?, false)?;
+            }
+            KIND_DROP_TABLE => {
+                catalog.drop_table(&cur.string()?)?;
+            }
+            KIND_CREATE_INDEX => {
+                let table = cur.string()?;
+                let index = cur.string()?;
+                let columns = (0..cur.u32()?)
+                    .map(|_| cur.string())
+                    .collect::<DbResult<Vec<_>>>()?;
+                let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
+                catalog.get_mut(&table)?.create_index(&index, &cols)?;
+            }
+            KIND_DROP_INDEX => {
+                let table = cur.string()?;
+                catalog.get_mut(&table)?.drop_index(&cur.string()?)?;
+            }
+            _ => return Err(malformed("unknown record kind")),
+        }
+        // The encoder writes bodies exactly: trailing bytes mean the
+        // frame is not what it claims to be.
+        if cur.pos != self.body.len() {
+            return Err(malformed("trailing bytes after the record"));
+        }
+        Ok(())
+    }
+}
+
+fn malformed(what: &str) -> DbError {
+    DbError::Persist(format!("malformed record: {what}"))
+}
+
+/// Walk `bytes` frame by frame. Returns the frames plus the number of
+/// bytes they occupy — walking stops at the first short frame or
+/// checksum mismatch (the torn tail a crash mid-append leaves behind),
+/// and the caller discards everything from that offset on. A CRC-valid
+/// payload too short to hold its `[txid][kind]` header is an error, not
+/// a torn tail: no crash writes one.
+pub fn decode_all(bytes: &[u8]) -> DbResult<(Vec<Frame<'_>>, usize)> {
     let mut frames = Vec::new();
     let mut at = 0usize;
     while bytes.len() - at >= 8 {
@@ -364,103 +417,23 @@ pub fn decode_all(bytes: &[u8]) -> (Vec<Frame>, usize) {
         if crc32(payload) != crc {
             break; // corrupted frame
         }
-        let Some(frame) = decode_payload(payload) else {
-            break; // CRC-valid but structurally malformed: stop cleanly
+        let mut cur = Cursor {
+            data: payload,
+            pos: 0,
         };
-        frames.push(frame);
+        let (Ok(txid), Ok(kind)) = (cur.u64(), cur.u8()) else {
+            return Err(DbError::Persist(format!(
+                "wal: CRC-valid frame at byte {at} is too short for its header"
+            )));
+        };
+        frames.push(Frame {
+            txid,
+            kind,
+            body: &payload[cur.pos..],
+        });
         at = end;
     }
-    (frames, at)
-}
-
-/// Decode one frame payload (`[txid][kind][body]`).
-fn decode_payload(payload: &[u8]) -> Option<Frame> {
-    let mut cur = Cursor {
-        data: payload,
-        pos: 0,
-    };
-    let txid = cur.u64()?;
-    let kind = cur.u8()?;
-    let replay = match kind {
-        KIND_APPEND => {
-            let table = cur.string()?;
-            let n = cur.u32()? as usize;
-            let mut rows = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                rows.push(cur.row()?);
-            }
-            Replay::Append { table, rows }
-        }
-        KIND_UPDATE => {
-            let table = cur.string()?;
-            let n = cur.u32()? as usize;
-            let mut news = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let pos = cur.u64()? as usize;
-                news.push((pos, cur.row()?));
-            }
-            Replay::Update { table, news }
-        }
-        KIND_DELETE => {
-            let table = cur.string()?;
-            let n = cur.u32()? as usize;
-            let mut positions = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                positions.push(cur.u64()? as usize);
-            }
-            Replay::Delete { table, positions }
-        }
-        KIND_CLEAR => Replay::Clear {
-            table: cur.string()?,
-        },
-        KIND_CREATE_TABLE => {
-            let name = cur.string()?;
-            let n = cur.u32()? as usize;
-            let mut columns = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let col = cur.string()?;
-                let ctype = match cur.u8()? {
-                    0 => ColType::Int,
-                    1 => ColType::Double,
-                    2 => ColType::Text,
-                    _ => return None,
-                };
-                columns.push(Column { name: col, ctype });
-            }
-            let schema = Schema::new(columns).ok()?;
-            Replay::CreateTable { name, schema }
-        }
-        KIND_DROP_TABLE => Replay::DropTable {
-            name: cur.string()?,
-        },
-        KIND_CREATE_INDEX => {
-            let table = cur.string()?;
-            let index = cur.string()?;
-            let n = cur.u32()? as usize;
-            let mut columns = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                columns.push(cur.string()?);
-            }
-            Replay::CreateIndex {
-                table,
-                index,
-                columns,
-            }
-        }
-        KIND_DROP_INDEX => Replay::DropIndex {
-            table: cur.string()?,
-            index: cur.string()?,
-        },
-        KIND_COMMIT => Replay::Commit,
-        KIND_ABORT => Replay::Abort,
-        _ => return None,
-    };
-    // A frame with trailing garbage is malformed: the encoder writes
-    // payloads exactly.
-    if cur.pos != payload.len() {
-        return None;
-    }
-    Some(Frame { txid, replay })
+    Ok((frames, at))
 }
 
 /// Bounds-checked little-endian reader over a frame payload.
@@ -470,79 +443,75 @@ struct Cursor<'a> {
 }
 
 impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Option<&[u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.data.len() {
-            return None;
-        }
+    fn take(&mut self, n: usize) -> DbResult<&[u8]> {
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&end| end <= self.data.len())
+            .ok_or_else(|| malformed("body ends early"))?;
         let s = &self.data[self.pos..end];
         self.pos = end;
-        Some(s)
+        Ok(s)
     }
 
-    fn u8(&mut self) -> Option<u8> {
+    fn u8(&mut self) -> DbResult<u8> {
         self.take(1).map(|s| s[0])
     }
 
-    fn u32(&mut self) -> Option<u32> {
+    fn u32(&mut self) -> DbResult<u32> {
         self.take(4)
             .map(|s| u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
     }
 
-    fn u64(&mut self) -> Option<u64> {
+    fn u64(&mut self) -> DbResult<u64> {
         self.take(8)
             .map(|s| u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
     }
 
-    fn string(&mut self) -> Option<String> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).ok()
+    /// A row position, which must be below `len`.
+    fn position(&mut self, len: usize) -> DbResult<usize> {
+        let pos = self.u64()?;
+        usize::try_from(pos)
+            .ok()
+            .filter(|&p| p < len)
+            .ok_or_else(|| malformed("row position past the table end"))
     }
 
-    fn row(&mut self) -> Option<Row> {
+    fn string(&mut self) -> DbResult<String> {
         let n = self.u32()? as usize;
-        let mut row = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let v = match self.u8()? {
-                0 => Value::Null,
-                1 => {
-                    let s = self.take(8)?;
-                    Value::Int(i64::from_le_bytes([
-                        s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7],
-                    ]))
-                }
-                2 => {
-                    let s = self.take(8)?;
-                    Value::Double(f64::from_bits(u64::from_le_bytes([
-                        s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7],
-                    ])))
-                }
-                3 => Value::Text(self.string()?),
-                _ => return None,
-            };
-            row.push(v);
-        }
-        Some(row)
+        let bytes = self.take(n)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| malformed("name is not UTF-8"))
+    }
+
+    fn row(&mut self) -> DbResult<Row> {
+        (0..self.u32()?)
+            .map(|_| {
+                Ok(match self.u8()? {
+                    0 => Value::Null,
+                    1 => Value::Int(self.u64()? as i64),
+                    2 => Value::Double(f64::from_bits(self.u64()?)),
+                    3 => Value::Text(self.string()?),
+                    _ => return Err(malformed("unknown value tag")),
+                })
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn schema() -> Schema {
-        Schema::new(vec![
-            Column {
-                name: "a".into(),
-                ctype: ColType::Int,
-            },
-            Column {
-                name: "b".into(),
-                ctype: ColType::Text,
-            },
-        ])
-        .unwrap()
+    /// Execute one mutating `sql` against `catalog` and encode what it
+    /// applied: the `Database` mutation path, minus the locks.
+    pub(crate) fn encode_sql(catalog: &mut Catalog, app: &mut WalAppender, sql: &str) {
+        let mut log = crate::change::ChangeLog::default();
+        let stmt = crate::sql::parse(sql).unwrap();
+        let mut stats = crate::exec::DbStats::default();
+        crate::exec::execute_mutation(catalog, &stmt, &[], &mut stats, &mut log, None).unwrap();
+        for change in log.records() {
+            app.change(change, catalog);
+        }
     }
 
     #[test]
@@ -554,53 +523,114 @@ mod tests {
 
     #[test]
     fn every_record_kind_round_trips() {
+        let mut src = Catalog::new();
         let mut w = WalAppender::new(42);
-        w.create_table("t", &schema());
-        w.append_rows(
-            "t",
-            &[
-                vec![Value::Int(1), Value::Text("x".into())],
-                vec![Value::Null, Value::Double(2.5)],
-            ],
-        );
-        w.update_rows("t", &[(0, vec![Value::Int(9), Value::Null])]);
-        w.delete_rows("t", &[1, 3, 7]);
-        w.clear_table("t");
-        w.create_index("t", "ta", &["a".into(), "b".into()]);
-        w.drop_index("t", "ta");
-        w.drop_table("t");
+        for sql in [
+            "CREATE TABLE t (a INT, b TEXT)",
+            "INSERT INTO t VALUES (1, 'x'), (NULL, 'y'), (3, 'z'), (4, NULL)",
+            "UPDATE t SET a = 9 WHERE b = 'x'",
+            "DELETE FROM t WHERE a = 3",
+            "CREATE INDEX ta ON t (a, b)",
+            "DROP INDEX ta ON t",
+            "CREATE INDEX tb ON t (b)",
+            "CREATE TABLE u (d DOUBLE)",
+            "INSERT INTO u VALUES (2.5), (NULL)",
+            "DELETE FROM u WHERE d IS NULL OR d > 0",
+            "DROP TABLE u",
+        ] {
+            encode_sql(&mut src, &mut w, sql);
+        }
         w.commit();
         w.abort();
-        assert_eq!(w.records(), 10);
+        assert_eq!(w.records(), 13);
         let bytes = w.into_buf();
-        let (frames, consumed) = decode_all(&bytes);
+        let (frames, consumed) = decode_all(&bytes).unwrap();
         assert_eq!(consumed, bytes.len());
-        assert_eq!(frames.len(), 10);
         assert!(frames.iter().all(|f| f.txid == 42));
-        assert!(matches!(
-            &frames[1].replay,
-            Replay::Append { table, rows } if table == "t" && rows.len() == 2
-        ));
-        assert!(matches!(
-            &frames[3].replay,
-            Replay::Delete { positions, .. } if positions == &[1, 3, 7]
-        ));
-        assert_eq!(frames[8].replay, Replay::Commit);
-        assert_eq!(frames[9].replay, Replay::Abort);
+        let kinds: Vec<u8> = frames.iter().map(|f| f.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                KIND_CREATE_TABLE,
+                KIND_APPEND,
+                KIND_UPDATE,
+                KIND_DELETE,
+                KIND_CREATE_INDEX,
+                KIND_DROP_INDEX,
+                KIND_CREATE_INDEX,
+                KIND_CREATE_TABLE,
+                KIND_APPEND,
+                KIND_CLEAR, // the DELETE emptied `u`
+                KIND_DROP_TABLE,
+                KIND_COMMIT,
+                KIND_ABORT,
+            ]
+        );
+        // Applying the data frames rebuilds the source catalog exactly.
+        let mut dst = Catalog::new();
+        for f in &frames[..11] {
+            f.apply(&mut dst).unwrap();
+        }
+        assert_eq!(dst.table_names(), src.table_names());
+        let (t, want) = (dst.get("t").unwrap(), src.get("t").unwrap());
+        assert_eq!(t.rows(), want.rows());
+        assert_eq!(t.indexes(), want.indexes());
+    }
+
+    #[test]
+    fn malformed_bodies_are_errors_naming_the_transaction() {
+        let mut c = Catalog::new();
+        let mut w = WalAppender::new(5);
+        encode_sql(&mut c, &mut w, "CREATE TABLE t (a INT)");
+        encode_sql(&mut c, &mut w, "INSERT INTO t VALUES (1)");
+        encode_sql(&mut c, &mut w, "UPDATE t SET a = 2");
+        let bytes = w.into_buf();
+        let (frames, _) = decode_all(&bytes).unwrap();
+        let (append, update) = (frames[1], frames[2]);
+        let mut long = append.body.to_vec();
+        long.push(0);
+        let cases = [
+            (update.body, update.kind), // names a row `t` does not have
+            (append.body, 99),          // unknown kind
+            (&append.body[..append.body.len() - 1], append.kind), // short body
+            (&long[..], append.kind),   // trailing byte
+        ];
+        for (body, kind) in cases {
+            // Only the CREATE TABLE has been applied: `t` is empty.
+            let mut dst = Catalog::new();
+            frames[0].apply(&mut dst).unwrap();
+            let bad = Frame {
+                body,
+                kind,
+                ..append
+            };
+            match bad.apply(&mut dst) {
+                Err(DbError::Persist(m)) => assert!(m.contains("tx 5"), "{m}"),
+                other => panic!("expected an attributed error, got {other:?}"),
+            }
+        }
+        // A CRC-valid payload without room for its header fails the walk.
+        let mut tiny = Vec::new();
+        tiny.extend_from_slice(&3u32.to_le_bytes());
+        tiny.extend_from_slice(&crc32(b"abc").to_le_bytes());
+        tiny.extend_from_slice(b"abc");
+        assert!(decode_all(&tiny).is_err());
     }
 
     #[test]
     fn truncation_at_every_byte_discards_only_the_tail() {
+        let mut c = Catalog::new();
         let mut w = WalAppender::new(7);
-        w.append_rows("t", &[vec![Value::Int(1)]]);
+        encode_sql(&mut c, &mut w, "CREATE TABLE t (a INT)");
+        encode_sql(&mut c, &mut w, "INSERT INTO t VALUES (1)");
         w.commit();
-        w.append_rows("t", &[vec![Value::Int(2)]]);
+        encode_sql(&mut c, &mut w, "INSERT INTO t VALUES (2)");
         w.commit();
         let bytes = w.into_buf();
-        let (all, _) = decode_all(&bytes);
-        assert_eq!(all.len(), 4);
+        let (all, _) = decode_all(&bytes).unwrap();
+        assert_eq!(all.len(), 5);
         for cut in 0..bytes.len() {
-            let (frames, consumed) = decode_all(&bytes[..cut]);
+            let (frames, consumed) = decode_all(&bytes[..cut]).unwrap();
             assert!(consumed <= cut);
             // Every decoded frame is one of the originally encoded
             // prefix frames, in order.
@@ -610,16 +640,18 @@ mod tests {
 
     #[test]
     fn bitflip_anywhere_is_detected() {
+        let mut c = Catalog::new();
         let mut w = WalAppender::new(7);
-        w.append_rows("t", &[vec![Value::Text("payload".into())]]);
+        encode_sql(&mut c, &mut w, "CREATE TABLE t (a TEXT)");
+        encode_sql(&mut c, &mut w, "INSERT INTO t VALUES ('payload')");
         w.commit();
         let bytes = w.into_buf();
-        let (clean, _) = decode_all(&bytes);
-        assert_eq!(clean.len(), 2);
+        let (clean, _) = decode_all(&bytes).unwrap();
+        assert_eq!(clean.len(), 3);
         for i in 0..bytes.len() {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0x40;
-            let (frames, _) = decode_all(&corrupt);
+            let (frames, _) = decode_all(&corrupt).unwrap();
             // A flipped byte may truncate the stream early but must
             // never yield a frame that differs from the originals.
             for (f, c) in frames.iter().zip(&clean) {
@@ -636,7 +668,7 @@ mod tests {
 
     #[test]
     fn empty_stream_decodes_empty() {
-        let (frames, consumed) = decode_all(&[]);
+        let (frames, consumed) = decode_all(&[]).unwrap();
         assert!(frames.is_empty());
         assert_eq!(consumed, 0);
     }

@@ -16,6 +16,7 @@
 //!   physically truncated segment.
 
 use proptest::prelude::*;
+use sdm_metadb::wal::record::crc32;
 use sdm_metadb::{Database, DbError, DbResult, MemPersisted, MemStorage, Value, WalFaults};
 
 // ---------------------------------------------------------------- workload
@@ -44,13 +45,22 @@ enum Op {
     /// `CREATE TABLE u …` / `DROP TABLE u` (ignored when wrong-state).
     CreateTable2,
     DropTable2,
+    /// Autocommit 3-row `INSERT INTO t VALUES (k, v), (k + 1, v),
+    /// (k + 2, 'text')`: the third row's type error is tolerated, and
+    /// the two rows that landed commit.
+    InsertBad(i64, i64),
+    /// `BEGIN; UPDATE; DELETE; CREATE INDEX; DROP TABLE u;` then
+    /// `COMMIT` or `ROLLBACK` (wrong-state DDL inside is tolerated).
+    TxMixed {
+        commit: bool,
+    },
 }
 
 /// Apply one op. Wrong-state DDL errors (index/table already there or
-/// missing) are tolerated — the executor pre-validates, so a rejected
-/// statement appends nothing to the log and mutates nothing. Every
-/// *other* error (a failed fsync above all) propagates: the op did not
-/// durably happen.
+/// missing) are tolerated — the executor logs only what applied, so a
+/// rejected statement appends nothing to the log and mutates nothing.
+/// Every *other* error (a failed fsync above all) propagates: the op
+/// did not durably happen.
 fn apply(db: &Database, op: &Op) -> DbResult<()> {
     // Wrong-state DDL is a no-op, not a failure.
     let ddl = |r: DbResult<sdm_metadb::ResultSet>| match r {
@@ -104,6 +114,31 @@ fn apply(db: &Database, op: &Op) -> DbResult<()> {
         Op::DropIndex => ddl(db.exec("DROP INDEX tk ON t", &[]))?,
         Op::CreateTable2 => ddl(db.exec("CREATE TABLE u (a INT)", &[]))?,
         Op::DropTable2 => ddl(db.exec("DROP TABLE u", &[]))?,
+        Op::InsertBad(k, v) => {
+            let r = db.exec(
+                "INSERT INTO t VALUES (?, ?), (?, ?), (?, 'text')",
+                &[
+                    Value::Int(*k),
+                    Value::Int(*v),
+                    Value::Int(k + 1),
+                    Value::Int(*v),
+                    Value::Int(k + 2),
+                ],
+            );
+            match r {
+                Err(DbError::Type(_)) => {}
+                Ok(_) => panic!("a TEXT value landed in an INT column"),
+                Err(e) => return Err(e),
+            }
+        }
+        Op::TxMixed { commit } => {
+            db.exec("BEGIN", &[])?;
+            db.exec("UPDATE t SET v = v + 1 WHERE k < 4", &[])?;
+            db.exec("DELETE FROM t WHERE v > 50", &[])?;
+            ddl(db.exec("CREATE INDEX tk ON t (k)", &[]))?;
+            ddl(db.exec("DROP TABLE u", &[]))?;
+            db.exec(if *commit { "COMMIT" } else { "ROLLBACK" }, &[])?;
+        }
     }
     Ok(())
 }
@@ -165,12 +200,9 @@ fn expected_at(oracle: &[(u64, State)], cut: u64) -> &State {
 
 // ----------------------------------------------------- every-byte cuts
 
-/// A fixed workload covering every redo record kind, cut at every
-/// single byte of the log. Deterministic twin of the proptest below, so
-/// a regression fails without shrinking.
-#[test]
-fn scripted_workload_survives_a_cut_at_every_byte() {
-    let ops = vec![
+/// A fixed workload covering every record kind.
+fn scripted_ops() -> Vec<Op> {
+    vec![
         Op::Insert(1, 10),
         Op::Insert(2, 20),
         Op::CreateIndex,
@@ -183,17 +215,106 @@ fn scripted_workload_survives_a_cut_at_every_byte() {
         Op::Clear,
         Op::DropTable2,
         Op::Insert(5, 50),
-    ];
-    let (log, oracle) = run_workload(&ops);
-    assert!(log.len() > 200, "workload produced a real log");
+    ]
+}
+
+/// Reopen `log` cut at every single byte and compare with the oracle.
+fn assert_every_cut_recovers(log: &[u8], oracle: &[(u64, State)]) {
     for cut in 0..=log.len() {
         let db = reopen(None, &log[..cut]);
         assert_eq!(
             &state(&db),
-            expected_at(&oracle, cut as u64),
+            expected_at(oracle, cut as u64),
             "cut at byte {cut} of {}",
             log.len()
         );
+    }
+}
+
+/// The scripted workload, cut at every single byte of the log.
+/// Deterministic twin of the proptest below, so a regression fails
+/// without shrinking.
+#[test]
+fn scripted_workload_survives_a_cut_at_every_byte() {
+    let (log, oracle) = run_workload(&scripted_ops());
+    assert!(log.len() > 200, "workload produced a real log");
+    assert_every_cut_recovers(&log, &oracle);
+}
+
+/// Statements that fail part-way, and transactions mixing DML and DDL
+/// (wrong-state DDL included), cut at every byte: the log holds only
+/// what applied, so each boundary recovers exactly.
+#[test]
+fn failed_and_mixed_statements_survive_a_cut_at_every_byte() {
+    let ops = vec![
+        Op::Insert(1, 10),
+        Op::InsertBad(2, 20),
+        Op::CreateTable2,
+        Op::TxMixed { commit: false },
+        Op::InsertBad(5, 60),
+        Op::TxMixed { commit: true },
+        Op::TxMixed { commit: true },
+        Op::InsertBad(8, 80),
+    ];
+    let (log, oracle) = run_workload(&ops);
+    // The first bad INSERT commits exactly the two rows that landed.
+    let rows = |i: usize| oracle[i].1 .0.clone().unwrap();
+    assert_eq!(rows(3).len(), rows(2).len() + 2);
+    assert!(rows(3).contains(&vec![Value::Int(3), Value::Int(20)]));
+    assert_every_cut_recovers(&log, &oracle);
+}
+
+/// The frame format is pinned: the scripted workload's log has a fixed
+/// length and 32-bit FNV-1a hash, so an encoder change that alters a
+/// single byte fails here rather than only in old logs.
+#[test]
+fn scripted_workload_log_bytes_are_pinned() {
+    let (log, _) = run_workload(&scripted_ops());
+    let fnv1a = log.iter().fold(0x811c_9dc5u32, |h, &b| {
+        (h ^ u32::from(b)).wrapping_mul(0x0100_0193)
+    });
+    assert_eq!((log.len(), fnv1a), (778, 0x599f_478c));
+}
+
+/// A CRC-valid frame whose body does not parse is not a torn tail: the
+/// open fails with an error naming its transaction instead of silently
+/// dropping it and every commit after it.
+#[test]
+fn a_crc_valid_frame_that_does_not_parse_fails_the_open() {
+    let (storage, h) = MemStorage::new();
+    let db = Database::open_with_storage(Box::new(storage)).unwrap();
+    db.exec("CREATE TABLE t (k INT, v INT)", &[]).unwrap();
+    db.exec("INSERT INTO t VALUES (1, 1)", &[]).unwrap();
+    db.exec("INSERT INTO t VALUES (2, 2)", &[]).unwrap();
+    let log = h.persisted().log_bytes();
+    // Re-frame every frame, giving tx 2's APPEND (kind 1) one trailing
+    // byte under a correct length and CRC.
+    let mut reframed = Vec::new();
+    let mut at = 0;
+    while at < log.len() {
+        let len = u32::from_le_bytes(log[at..at + 4].try_into().unwrap()) as usize;
+        let mut payload = log[at + 8..at + 8 + len].to_vec();
+        let txid = u64::from_le_bytes(payload[..8].try_into().unwrap());
+        if txid == 2 && payload[8] == 1 {
+            payload.push(0);
+        }
+        reframed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        reframed.extend_from_slice(&crc32(&payload).to_le_bytes());
+        reframed.extend_from_slice(&payload);
+        at += 8 + len;
+    }
+    let (storage, _h) = MemStorage::from_persisted(MemPersisted {
+        snapshot: None,
+        segments: vec![reframed],
+    });
+    match Database::open_with_storage(Box::new(storage)) {
+        Err(DbError::Persist(m)) => assert!(m.contains("tx 2"), "{m}"),
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(db) => panic!(
+            "opened with t = {:?}, recovery {:?}",
+            dump(&db, "t"),
+            db.recovery_info()
+        ),
     }
 }
 
@@ -244,7 +365,7 @@ fn txids_stay_monotonic_across_reopen() {
 
 fn arb_op() -> impl Strategy<Value = Op> {
     (
-        0u8..10,
+        0u8..12,
         0i64..8,
         0i64..100,
         proptest::collection::vec((0i64..8, 0i64..100), 1..4),
@@ -258,13 +379,15 @@ fn arb_op() -> impl Strategy<Value = Op> {
             6 => Op::TxRollback(rows),
             7 => Op::CreateIndex,
             8 => Op::DropIndex,
-            _ => {
+            9 => {
                 if k % 2 == 0 {
                     Op::CreateTable2
                 } else {
                     Op::DropTable2
                 }
             }
+            10 => Op::InsertBad(k, v),
+            _ => Op::TxMixed { commit: k % 2 == 0 },
         })
 }
 
